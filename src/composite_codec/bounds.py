@@ -230,9 +230,15 @@ def gspb_weight_rule(n: int, k: int, spec):
             return Fraction(1, n + sum(1 for v in y if 0 < v < k))
         return weight
     if isinstance(spec, (PerChannel, Total)):
+        sizes: dict = {}
+
+        def size(x):
+            if x not in sizes:
+                sizes[x] = sub_ball_size(x, k, spec)
+            return sizes[x]
+
         def weight(y):
-            return Fraction(1, min(sub_ball_size(x, k, spec)
-                                   for x in enumerate_in_ball(y, k, spec)))
+            return Fraction(1, min(map(size, enumerate_in_ball(y, k, spec))))
         return weight
     raise DomainError(f"no weight rule for spec {spec!r}")
 

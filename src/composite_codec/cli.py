@@ -596,17 +596,19 @@ def _verify_codebook(args, out):
         words = [parse_sequence(line.strip(), args.k)
                  for line in fh if line.strip()]
     if _is_deletion(spec):
-        balls = [frozenset(em.enumerate_del_ball(w, spec)) for w in words]
+        balls = [em.enumerate_del_ball(w, spec) for w in words]
     else:
-        balls = [frozenset(em.enumerate_sub_ball(w, args.k, spec)) for w in words]
+        balls = [em.enumerate_sub_ball(w, args.k, spec) for w in words]
     emitter = _Emitter(args.format, out, ("codeword_a", "codeword_b"))
     conflicts = 0
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            if balls[i] & balls[j]:
-                conflicts += 1
-                emitter.row((format_sequence(words[i], args.k),
-                             format_sequence(words[j], args.k)))
+    for i, mask in enumerate(oracle_mod.conflict_graph(balls)):
+        later = mask >> (i + 1) << (i + 1)
+        while later:
+            j = (later & -later).bit_length() - 1
+            later &= later - 1
+            conflicts += 1
+            emitter.row((format_sequence(words[i], args.k),
+                         format_sequence(words[j], args.k)))
     print(f"{len(words)} codewords, {conflicts} conflicting pairs",
           file=sys.stderr)
     return 0 if conflicts == 0 else 1
@@ -618,17 +620,17 @@ def _verify_transversal(args, out):
     spec = em.parse_spec(args.spec)
     n, k = args.n, args.k
     weight = bounds_mod.gspb_weight_rule(n, k, spec)
-    if _is_deletion(spec):
-        def ball_fn(s):
-            return frozenset(em.enumerate_del_ball(s, spec))
-    else:
-        def ball_fn(s):
-            return frozenset(em.enumerate_sub_ball(s, k, spec))
-    inputs = list(all_sequences(n, k))
-    report = oracle_mod.check_fractional_transversal(inputs, ball_fn, weight)
-    universe = set()
-    for s in inputs:
-        universe |= ball_fn(s)
+    universe: set = set()
+
+    def ball_fn(s):
+        if _is_deletion(spec):
+            ball = em.enumerate_del_ball(s, spec)
+        else:
+            ball = em.enumerate_sub_ball(s, k, spec)
+        universe.update(ball)
+        return ball
+    report = oracle_mod.check_fractional_transversal(
+        all_sequences(n, k), ball_fn, weight)
     expected = (em.vertex_set_size_10(n) if spec == em.RADIUS_10
                 else len(universe))
     if len(universe) != expected:
@@ -885,6 +887,7 @@ OPERATIONS = {
     "bounds:lower_bound": "bounds",
     "bounds:emit_bound_table": "bounds",
     "oracle:optimal_code_size": "search-optimal",
+    "oracle:conflict_graph": "search-optimal",
     "oracle:optimal_binary_single_error": "search-optimal",
     "oracle:exhaustive_decode_check": "verify",
     "oracle:check_fractional_transversal": "verify",

@@ -13,6 +13,7 @@ Sequences (q = 2 form) are plain tuples of ints, possibly containing the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 #: Sentinel letter marking a column that is not a valid decomposition.
@@ -100,6 +101,8 @@ def reconstruct_column(params: CompositeParams, col):
 
 
 def _check_q2_letters(s, k) -> None:
+    if k < 1:
+        raise DomainError(f"resolution k must be >= 1, got {k}")
     for x in s:
         if x == UNKNOWN:
             raise DomainError("sequence contains '?'")
@@ -120,6 +123,12 @@ def decompose_sequence(s, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _canonical_columns(k: int) -> dict:
+    """Decomposition column (0,)*(k-t) + (1,)*t -> letter t, for t in 0..k."""
+    return {(0,) * (k - t) + (1,) * t: t for t in range(k + 1)}
+
+
 def reconstruct_rows(rows) -> tuple:
     """Columnwise reconstruction of k equal-length binary rows.
 
@@ -127,6 +136,9 @@ def reconstruct_rows(rows) -> tuple:
     top to bottom (zeros above ones) maps to its bit sum, anything else gives
     '?'.  Unequal row lengths raise: reconstruction is undefined there, which
     is what forces deletion correction to happen first.
+
+    Each column is looked up among the k + 1 canonical columns; only a
+    column that is not canonical is checked for non-binary entries.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
@@ -136,17 +148,13 @@ def reconstruct_rows(rows) -> tuple:
         raise DomainError(
             f"unequal row lengths {sorted(set(len(r) for r in rows))}; "
             "reconstruction requires equal-length rows")
-    k = len(rows)
-    out = []
-    for i in range(n):
-        col = [rows[j][i] for j in range(k)]
-        if any(b not in (0, 1) for b in col):
-            raise DomainError(f"non-binary entry in column {i}: {col}")
-        if any(col[j] > col[j + 1] for j in range(k - 1)):
-            out.append(UNKNOWN)
-        else:
-            out.append(sum(col))
-    return tuple(out)
+    letter_of = _canonical_columns(len(rows)).get
+    out = tuple([letter_of(col, UNKNOWN) for col in zip(*rows)])
+    if UNKNOWN in out:
+        for i, col in enumerate(zip(*rows)):
+            if out[i] == UNKNOWN and any(b not in (0, 1) for b in col):
+                raise DomainError(f"non-binary entry in column {i}: {list(col)}")
+    return out
 
 
 def transform_reverse(s, k: int) -> tuple[int, ...]:

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from composite_codec.core import (
-    UNKNOWN,
     DomainError,
+    _check_q2_letters,
     decompose_sequence,
-    reconstruct_rows,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,11 +69,14 @@ def parse_spec(text: str):
     text = text.strip()
     if text == RADIUS_10 or text == RADIUS_1:
         return text
-    if text.startswith("t:"):
-        return Total(int(text[2:]))
-    if text.startswith("(") and text.endswith(")"):
-        parts = text[1:-1].split(",")
-        return PerChannel(tuple(int(p) for p in parts))
+    try:
+        if text.startswith("t:"):
+            return Total(int(text[2:]))
+        if text.startswith("(") and text.endswith(")"):
+            parts = text[1:-1].split(",")
+            return PerChannel(tuple(int(p) for p in parts))
+    except ValueError:
+        raise DomainError(f"malformed error spec {text!r}") from None
     raise DomainError(f"unrecognized error spec {text!r}")
 
 
@@ -103,8 +106,9 @@ def sub_ball_size(s, k: int, spec, allow_enumeration: bool = True) -> int:
     """Exact size of the substitution error ball centred at s.
 
     Closed forms: per-channel (1,0,...,0) and total-1 for any k; any
-    (e0,e1) and any total-e for k = 2.  Other combinations fall back to
-    enumeration when allowed (and within caps), else raise.
+    (e0,e1) (counted letter by letter) and any total-e for k = 2.  Other
+    combinations fall back to enumeration when allowed (and within caps),
+    else raise.
     """
     n = len(s)
     if isinstance(spec, PerChannel):
@@ -118,7 +122,7 @@ def sub_ball_size(s, k: int, spec, allow_enumeration: bool = True) -> int:
             m = sum(1 for x in s if x in (k - 1, k))
             return 1 + m
         if k == 2:
-            return _ball_size_e0e1(s, spec.budgets[0], spec.budgets[1])
+            return _count_ball(s, k, spec)
     elif isinstance(spec, Total):
         if spec.errors == 0:
             return 1
@@ -154,30 +158,6 @@ def _ball_size_total(s, e: int) -> int:
     return total
 
 
-def _ball_size_e0e1(s, e0: int, e1: int) -> int:
-    """k = 2 per-channel (e0, e1) ball size.
-
-    Counts letter transformations a: 0->1, b: 0->2, c: 1->0, d: 1->2,
-    e: 2->0, f: 2->1; b, d, e, f consume first-channel errors and
-    a, b, c, e consume second-channel errors.
-    """
-    j = sum(1 for x in s if x == 0)
-    m = sum(1 for x in s if x == 1)
-    r = len(s) - m - j
-    total = 0
-    for a in range(j + 1):
-        for b in range(j - a + 1):
-            for c in range(m + 1):
-                for d in range(m - c + 1):
-                    for ee in range(r + 1):
-                        for f in range(r - ee + 1):
-                            if b + d + ee + f <= e0 and a + b + c + ee <= e1:
-                                total += (comb(j, a) * comb(j - a, b)
-                                          * comb(m, c) * comb(m - c, d)
-                                          * comb(r, ee) * comb(r - ee, f))
-    return total
-
-
 def has_closed_form(k: int, spec) -> bool:
     if isinstance(spec, PerChannel):
         if all(e == 0 for e in spec.budgets):
@@ -188,6 +168,115 @@ def has_closed_form(k: int, spec) -> bool:
     if isinstance(spec, Total):
         return spec.errors <= 1 or k == 2
     return False
+
+
+# ---------------------------------------------------------------------------
+# substitution balls: letter by letter
+#
+# Letter sigma decomposes into the column (0,)*(k-sigma) + (1,)*sigma, so
+# turning sigma into tau flips rows k - max(sigma, tau) .. k - min(sigma,
+# tau) - 1 and nothing else.  y is in the ball of s exactly when these
+# per-letter costs, summed over positions, fit the budget; the condition is
+# symmetric in s and y.
+
+
+def _check_sub_spec(k: int, spec) -> None:
+    if isinstance(spec, PerChannel):
+        if len(spec.budgets) != k:
+            raise DomainError(
+                f"budget vector {spec} has {len(spec.budgets)} entries, expected k={k}")
+    elif not isinstance(spec, Total):
+        raise DomainError(f"not a substitution spec: {spec!r}")
+
+
+def _check_enumeration_cap(n: int, spec, max_n: int | None) -> None:
+    if max_n is not None:
+        cap = max_n
+    elif isinstance(spec, PerChannel) and sum(spec.budgets) <= 2:
+        cap = _cap(10)
+    else:
+        cap = _cap(8)
+    if n > cap:
+        raise SizeLimitError(f"n={n} exceeds enumeration cap {cap}")
+
+
+@lru_cache(maxsize=None)
+def _letter_costs(k: int, spec) -> tuple:
+    """Budget of spec, its (k+1) x (k+1) cost table and a move cache.
+
+    Budgets and costs are tuples: one entry per channel (the rows flipped)
+    for per-channel specs, a single |sigma - tau| for total specs.  The
+    cache maps (sigma, budget left) to the (tau, budget left after) moves
+    that fit; the letter pass fills it as states are reached.  It memoises
+    a pure function of its key, so every caller may share it.
+    """
+    if isinstance(spec, PerChannel):
+        budget = spec.budgets
+        cost = [[tuple(1 if k - max(sigma, tau) <= j < k - min(sigma, tau) else 0
+                       for j in range(k))
+                 for tau in range(k + 1)] for sigma in range(k + 1)]
+    else:
+        budget = (spec.errors,)
+        cost = [[(abs(sigma - tau),) for tau in range(k + 1)]
+                for sigma in range(k + 1)]
+    return budget, cost, {}
+
+
+def _letter_pass(s, k: int, spec, start, extend):
+    """Position-by-position pass over s keyed by the remaining budget.
+
+    Each layer maps a remaining budget to the value carried by the prefixes
+    that leave it; extend(value, tau) carries a value one letter on (as a
+    new object), and values meeting at one budget are combined with +=.
+    """
+    _check_q2_letters(s, k)
+    budget, cost, moves = _letter_costs(k, spec)
+    layer = {budget: start}
+    for sigma in s:
+        nxt: dict = {}
+        for left, value in layer.items():
+            fits = moves.get((sigma, left))
+            if fits is None:
+                fits = moves[sigma, left] = [
+                    (tau, rest) for tau, c in enumerate(cost[sigma])
+                    for rest in [tuple(a - b for a, b in zip(left, c))]
+                    if min(rest) >= 0]
+            for tau, rest in fits:
+                step = extend(value, tau)
+                if rest in nxt:
+                    nxt[rest] += step
+                else:
+                    nxt[rest] = step
+        layer = nxt
+    return layer.values()
+
+
+def _count_ball(s, k: int, spec) -> int:
+    """Exact ball size, counted letter by letter."""
+    return sum(_letter_pass(s, k, spec, 1, lambda ways, tau: ways))
+
+
+def enumerate_sub_ball(s, k: int, spec, max_n: int | None = None) -> set:
+    """The ball as an explicit set, built letter by letter.
+
+    Every sequence whose per-channel (or total) substitution cost from s
+    fits the budget, each produced once; column-inconsistent received rows
+    never arise.  Equals the valid reconstructions of
+    enumerate_received_rows.  Always contains s.
+    """
+    _check_sub_spec(k, spec)
+    _check_enumeration_cap(len(s), spec, max_n)
+    layer = _letter_pass(s, k, spec, [()],
+                         lambda prefixes, tau: [p + (tau,) for p in prefixes])
+    return {y for ys in layer for y in ys}
+
+
+def enumerate_in_ball(y, k: int, spec) -> set:
+    """Centres x whose ball contains y (the inbound ball used by the GSPB).
+
+    Substitution balls are symmetric, so this is the ball of y itself.
+    """
+    return enumerate_sub_ball(tuple(y), k, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +303,18 @@ def enumerate_received_rows(s, k: int, spec, max_n: int | None = None) -> set:
 
     Unlike enumerate_sub_ball this keeps column-inconsistent outputs: it is
     what a decoder actually receives.  Always contains the clean rows.
-    """
-    n = len(s)
-    if isinstance(spec, PerChannel):
-        if len(spec.budgets) != k:
-            raise DomainError(
-                f"budget vector {spec} has {len(spec.budgets)} entries, expected k={k}")
-        cap = max_n if max_n is not None else (
-            _cap(10) if sum(spec.budgets) <= 2 else _cap(8))
-        if n > cap:
-            raise SizeLimitError(f"n={n} exceeds enumeration cap {cap}")
-        rows = decompose_sequence(s, k)
-        out: set = set()
-        _raw_per_channel(rows, list(spec.budgets), 0, [], out)
-        return out
-    if isinstance(spec, Total):
-        cap = max_n if max_n is not None else _cap(8)
-        if n > cap:
-            raise SizeLimitError(f"n={n} exceeds enumeration cap {cap}")
-        rows = decompose_sequence(s, k)
-        out = set()
-        _raw_total(rows, k, spec.errors, 0, [], out)
-        return out
-    raise DomainError(f"not a substitution spec: {spec!r}")
-
-
-def enumerate_sub_ball(s, k: int, spec, max_n: int | None = None) -> set:
-    """The ball as an explicit set, by iterating all flip patterns.
-
     Per-channel specs iterate position subsets of size <= e_i per channel;
-    total specs additionally iterate the budget split.  Results containing
-    '?' are discarded (they are not composite sequences).  Always contains s.
+    total specs additionally iterate the budget split.
     """
-    ball = set()
-    for rows in enumerate_received_rows(s, k, spec, max_n):
-        y = reconstruct_rows(rows)
-        if UNKNOWN not in y:
-            ball.add(y)
-    return ball
+    _check_sub_spec(k, spec)
+    _check_enumeration_cap(len(s), spec, max_n)
+    rows = decompose_sequence(s, k)
+    out: set = set()
+    if isinstance(spec, PerChannel):
+        _raw_per_channel(rows, list(spec.budgets), 0, [], out)
+    else:
+        _raw_total(rows, k, spec.errors, 0, [], out)
+    return out
 
 
 def _raw_per_channel(rows, budgets, channel, chosen, out):
@@ -272,15 +335,6 @@ def _raw_total(rows, k, remaining, channel, chosen, out):
         chosen.append(flips)
         _raw_total(rows, k, remaining - len(flips), channel + 1, chosen, out)
         chosen.pop()
-
-
-def enumerate_in_ball(y, k: int, spec) -> set:
-    """Centres x whose ball contains y (the inbound ball used by the GSPB)."""
-    from composite_codec.core import all_sequences
-
-    n = len(y)
-    return {tuple(x) for x in all_sequences(n, k)
-            if tuple(y) in enumerate_sub_ball(tuple(x), k, spec)}
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,6 @@ class _MisSolver:
 
     def __init__(self, n_vertices: int, adj: list):
         self.n = n_vertices
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n_vertices + 200))
         order = _clique_order(n_vertices, adj)
         self.pos = pos = [0] * n_vertices
         for r, v in enumerate(order):
@@ -181,7 +180,36 @@ class _MisSolver:
 def _max_independent_set(n_vertices: int, adj: list) -> list:
     if n_vertices == 0:
         return []
-    return _MisSolver(n_vertices, adj).lex_smallest_witness()
+    # the searches recurse once per vertex added to a set; the limit is
+    # process-wide, so it is put back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * n_vertices + 200))
+    try:
+        return _MisSolver(n_vertices, adj).lex_smallest_witness()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def conflict_graph(balls) -> list:
+    """Adjacency bitmasks: bit j of adj[i] is set when balls i and j share
+    an output (i != j).
+
+    Built through one output -> centres bitmask index, so the cost is the
+    total ball size rather than one set intersection per pair.
+    """
+    balls = list(balls)
+    centres: dict = {}
+    for i, ball in enumerate(balls):
+        bit = 1 << i
+        for y in ball:
+            centres[y] = centres.get(y, 0) | bit
+    adj = []
+    for i, ball in enumerate(balls):
+        mask = 0
+        for y in ball:
+            mask |= centres[y]
+        adj.append(mask & ~(1 << i))
+    return adj
 
 
 def _ball_fn(k: int, spec):
@@ -203,13 +231,7 @@ def optimal_code_size(n: int, k: int, spec) -> OracleResult:
             "set COMPOSITE_CODEC_CAPS to raise it")
     space = list(all_sequences(n, k))
     ball_of = _ball_fn(k, spec)
-    balls = [frozenset(ball_of(s)) for s in space]
-    adj = [0] * len(space)
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            if balls[i] & balls[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    adj = conflict_graph(map(ball_of, space))
     chosen = _max_independent_set(len(space), adj)
     return OracleResult(len(chosen), tuple(space[i] for i in chosen))
 

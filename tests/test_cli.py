@@ -313,6 +313,21 @@ def test_error_messages_go_to_stderr():
     assert err.startswith("error:")
 
 
+def _one_error_line(args):
+    code, out, err = run_cli(*args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_malformed_spec_is_a_one_line_error():
+    for spec in ("t:x", "()", "(1,x)", "t:"):
+        _one_error_line(("ball", "size", "--k", "2", "--spec", spec, "012"))
+
+
+def test_decompose_rejects_resolution_zero():
+    _one_error_line(("decompose", "--k", "0", "000"))
+
+
 _MODULES = {
     "core": core,
     "error_model": error_model,

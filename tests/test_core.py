@@ -188,3 +188,53 @@ def test_decompose_rows_are_monotone_in_letter():
             col = [rows[j][0] for j in range(k)]
             assert sum(col) == sigma
             assert col == sorted(col)
+
+
+def _reconstruct_reference(rows):
+    """Column-by-column reconstruction straight from the definition."""
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        raise DomainError("no rows given")
+    if len({len(r) for r in rows}) != 1:
+        raise DomainError(
+            f"unequal row lengths {sorted(set(len(r) for r in rows))}; "
+            "reconstruction requires equal-length rows")
+    out = []
+    for i in range(len(rows[0])):
+        col = [r[i] for r in rows]
+        if any(b not in (0, 1) for b in col):
+            raise DomainError(f"non-binary entry in column {i}: {col}")
+        sorted_col = all(col[j] <= col[j + 1] for j in range(len(col) - 1))
+        out.append(sum(col) if sorted_col else UNKNOWN)
+    return tuple(out)
+
+
+def _outcome(fn, rows):
+    try:
+        return fn(rows)
+    except DomainError as exc:
+        return ("raised", str(exc))
+
+
+def test_reconstruct_rows_matches_per_column_reference():
+    # every binary row tuple for k <= 3, n <= 3: valid and '?' columns alike
+    for k in (1, 2, 3):
+        for n in (0, 1, 2, 3):
+            for bits in product((0, 1), repeat=k * n):
+                rows = [bits[j * n:(j + 1) * n] for j in range(k)]
+                assert reconstruct_rows(rows) == _reconstruct_reference(rows)
+    # non-binary entries (also ones whose column sum looks canonical) and
+    # unequal lengths raise the same errors
+    for rows in (((0, 2), (0, 1)), ((2,),), ((0, 1), (1, 0), (2, 0)),
+                 ((-1, 0), (1, 1)), (("1",), ("1",)), ((1, 0), (0, 7)),
+                 ((0, 1), (0,)), ((0,), (0, 1), (1,)), ()):
+        got = _outcome(reconstruct_rows, rows)
+        assert got[0] == "raised"
+        assert got == _outcome(_reconstruct_reference, rows)
+
+
+def test_decompose_sequence_rejects_resolution_below_one():
+    with pytest.raises(DomainError):
+        decompose_sequence((0, 0, 0), 0)
+    with pytest.raises(DomainError):
+        decompose_sequence((), -1)

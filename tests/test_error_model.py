@@ -1,11 +1,18 @@
 """Tests for error specifications, ball sizes and counting helpers."""
 
+import random
 from itertools import product
 from math import comb
 
 import pytest
 
-from composite_codec.core import DomainError, all_sequences, decompose_sequence
+from composite_codec.core import (
+    UNKNOWN,
+    DomainError,
+    all_sequences,
+    decompose_sequence,
+    reconstruct_rows,
+)
 from composite_codec.error_model import (
     PerChannel,
     SizeLimitError,
@@ -34,6 +41,12 @@ def test_parse_spec_forms():
     assert parse_spec("d:1") == "d:1"
     with pytest.raises(DomainError):
         parse_spec("nope")
+
+
+@pytest.mark.parametrize("text", ["t:x", "()", "(1,x)", "t:", "(1,,0)", "t:1.5"])
+def test_parse_spec_rejects_malformed_specs(text):
+    with pytest.raises(DomainError):
+        parse_spec(text)
 
 
 def test_spec_validation():
@@ -91,10 +104,78 @@ def test_enumerate_in_ball_is_adjoint():
         assert inbound == expected
 
 
+def _folded_ball(s, k, spec):
+    """The definitional ball: every received row tuple, reconstructed,
+    keeping the valid sequences."""
+    folded = (reconstruct_rows(rows) for rows in enumerate_received_rows(s, k, spec))
+    return {y for y in folded if UNKNOWN not in y}
+
+
+# (k, largest n, specs): every k = 2 spec with budgets <= 3
+FOLD_GRID = (
+    (2, 4, ("(1,0)", "(0,1)", "(1,1)", "(2,0)", "(0,2)", "(2,1)", "(1,2)",
+            "(2,2)", "t:1", "t:2", "t:3")),
+    (3, 4, ("(1,0,0)", "(1,1,0)", "(0,1,1)", "(1,1,1)", "t:1", "t:2")),
+    (4, 3, ("(1,0,0,0)", "(0,1,0,1)", "(1,1,1,1)", "t:1", "t:2")),
+)
+
+
+@pytest.mark.parametrize("k, max_n, specs", FOLD_GRID)
+def test_letter_ball_equals_folded_received_rows(k, max_n, specs):
+    for text in specs:
+        spec = parse_spec(text)
+        for n in range(1, max_n + 1):
+            for s in all_sequences(n, k):
+                ball = enumerate_sub_ball(s, k, spec)
+                assert ball == _folded_ball(s, k, spec), (s, text)
+                assert sub_ball_size(s, k, spec) == len(ball), (s, text)
+
+
+@pytest.mark.parametrize("k, n, text", [
+    (2, 3, "(1,1)"), (2, 3, "(2,1)"), (2, 3, "t:2"), (2, 4, "(0,1)"),
+    (3, 3, "(1,1,0)"), (3, 3, "t:1"), (3, 2, "t:3"), (4, 2, "(0,1,1,0)"),
+])
+def test_enumerate_in_ball_equals_brute_force_scan(k, n, text):
+    spec = parse_spec(text)
+    space = list(all_sequences(n, k))
+    balls = {x: _folded_ball(x, k, spec) for x in space}
+    for y in space:
+        expected = {x for x in space if y in balls[x]}
+        assert enumerate_in_ball(y, k, spec) == expected
+
+
+def _transformation_sum_e0e1(s, e0, e1):
+    """k = 2 (e0, e1) ball size as a sum over the letter transformations
+    a: 0->1, b: 0->2, c: 1->0, d: 1->2, e: 2->0, f: 2->1; b, d, e, f consume
+    first-channel errors and a, b, c, e second-channel errors."""
+    j = sum(1 for x in s if x == 0)
+    m = sum(1 for x in s if x == 1)
+    r = len(s) - m - j
+    total = 0
+    for a in range(min(j, e1) + 1):
+        for b in range(min(j - a, e0, e1) + 1):
+            for c in range(min(m, e1) + 1):
+                for d in range(min(m - c, e0) + 1):
+                    for ee in range(min(r, e0, e1) + 1):
+                        for f in range(min(r - ee, e0) + 1):
+                            if b + d + ee + f <= e0 and a + b + c + ee <= e1:
+                                total += (comb(j, a) * comb(j - a, b)
+                                          * comb(m, c) * comb(m - c, d)
+                                          * comb(r, ee) * comb(r - ee, f))
+    return total
+
+
+def test_e0e1_ball_count_matches_transformation_sum():
+    rng = random.Random(7)
+    for n in (5, 14, 36, 200):
+        for budgets in ((0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 0), (0, 3)):
+            s = tuple(rng.randrange(3) for _ in range(n))
+            assert (sub_ball_size(s, 2, PerChannel(budgets))
+                    == _transformation_sum_e0e1(s, *budgets)), (n, budgets)
+
+
 def test_enumerate_received_rows_covers_ball():
     # Valid received row pairs reconstruct exactly to the substitution ball.
-    from composite_codec.core import reconstruct_rows, UNKNOWN
-
     spec = parse_spec("t:1")
     for s in all_sequences(3, 2):
         recon = set()
