@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, lcm
+from operator import add, mul
 
 from composite_codec.core import DomainError
 from composite_codec.error_model import (
@@ -23,7 +24,6 @@ from composite_codec.error_model import (
     RADIUS_10,
     PerChannel,
     Total,
-    count_runs_weight,
     count_v,
     enumerate_in_ball,
     runs,
@@ -150,6 +150,41 @@ def _sqrt_bracket(x: Fraction, steps: int = 40) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _deletion_gspb(n: int) -> Fraction:
+    """sum over rho of I_rho / rho, I_rho = sum_w N(n-1; rho; w) V(n; w).
+
+    Each I_rho is summed in integers and one Fraction is formed over
+    lcm(1..n-1).  With m = n - 1 and 0 < w < m, N(m; 2j+2; w) is
+    2 a_j b_j and N(m; 2j+3; w) is a_{j+1} b_j + a_j b_{j+1}, where
+    a = C(w-1, .) and b = C(m-w-1, .); complementing the row gives
+    N(m; rho; w) = N(m; rho; m-w), so w runs to m/2 only.  Only the two
+    current binomial rows are held: a steps by Pascal's rule, b (scaled
+    by V) comes from the multiplicative formula.
+    """
+    m = n - 1
+    half = m // 2
+    even = [0] * half  # I_{2j+2} / 2
+    odd = [0] * half   # I_{2j+3}
+    head = [1]
+    for w in range(1, half + 1):
+        if w > 1:
+            head = [1, *map(add, head, head[1:]), 1]
+        top = m - w - 1
+        tail = [count_v(n, w) + (count_v(n, m - w) if 2 * w < m else 0)]
+        for j in range(w):
+            tail.append(tail[-1] * (top - j) // (j + 1))
+        even[:w] = map(add, even, map(mul, head, tail))
+        odd[:w] = map(add, odd, map(mul, head, tail[1:]))
+        odd[:w - 1] = map(add, odd, map(mul, head[1:], tail))
+    scale = lcm(*range(1, n))
+    total = scale * (count_v(n, 0) + count_v(n, m))  # rho = 1: constant rows
+    for j in range(half):
+        total += even[j] * (scale // (j + 1))
+        if 2 * j + 3 <= m:
+            total += odd[j] * (scale // (2 * j + 3))
+    return Fraction(total, scale)
+
+
 def gspb_upper(n: int, k: int, spec) -> BoundResult:
     """Generalized sphere packing upper bounds (fractional transversals).
 
@@ -162,14 +197,7 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
             raise DomainError("deletion bounds are stated for k = 2")
         if n < 2:
             raise ValidityRangeError("deletion GSPB needs n >= 2")
-        total = Fraction(0)
-        for w in range(n):
-            v = count_v(n, w)
-            for rho in range(1, n):
-                cnt = count_runs_weight(n - 1, rho, w)
-                if cnt:
-                    total += Fraction(cnt * v, rho)
-        return BoundResult(total, VALID_UPPER, "n >= 2")
+        return BoundResult(_deletion_gspb(n), VALID_UPPER, "n >= 2")
     if _is_first_channel_single(spec):
         value = Fraction((k + 1) ** (n + 1) - (k - 1) ** (n + 1), 2 * (n + 1))
         return BoundResult(value, VALID_UPPER, "n >= 1")
@@ -294,9 +322,12 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
       fiber           -- the fiber-map construction for (1,0,...,0)
       lee             -- total-1 via a Lee-distance-3 code; even k
       vt_del          -- deletion (1,0): 3^n/(n+1)
-      vt1_del         -- deletion 1:     3^n/(2n+1)
+      vt1_del         -- deletion 1:     3^n/(2n+1); also serves (1,0)
       tenengolts_del  -- systematic deletion (1,0): 3^n/3^{ceil(log3 n)+3}
-      tenengolts1_del -- systematic deletion 1:     3^n/3^{ceil(log3 2n)+5}
+      tenengolts1_del -- systematic deletion 1:     3^n/3^{ceil(log3 2n)+5};
+                         also serves (1,0)
+
+    spec=None (the table emitters) skips the spec check.
     """
     if method == "bch":
         if not isinstance(spec, Total):
@@ -334,6 +365,11 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
         value = Fraction((k + 1) ** n, (k + 1) ** ceil_log(k + 1, 2 * n + 1))
         return BoundResult(value, VALID_LOWER, "even k")
     if method in ("vt_del", "vt1_del", "tenengolts_del", "tenengolts1_del"):
+        # a d:1 code also corrects d:(1,0), not the other way round
+        served = ((RADIUS_10,) if method in ("vt_del", "tenengolts_del")
+                  else (RADIUS_10, RADIUS_1))
+        if spec is not None and spec not in served:
+            raise DomainError(f"{method} bound applies to {' and '.join(served)}")
         if k != 2:
             raise DomainError("deletion bounds are stated for k = 2")
         if method == "vt_del":

@@ -17,6 +17,7 @@ N(n; rho; w), V(n; w) and the channel-output vertex count.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -88,7 +89,29 @@ class SizeLimitError(DomainError):
     """Instance exceeds the enumeration cap."""
 
 
+_caps_override: int | None = None
+
+
+@contextmanager
+def raised_caps(value: int | None):
+    """Raise every enumeration cap to at least value inside the block.
+
+    Takes precedence over COMPOSITE_CODEC_CAPS; None leaves the caps as
+    they are.  The previous override is restored on exit.
+    """
+    global _caps_override
+    previous = _caps_override
+    if value is not None:
+        _caps_override = value
+    try:
+        yield
+    finally:
+        _caps_override = previous
+
+
 def _cap(default: int) -> int:
+    if _caps_override is not None:
+        return max(default, _caps_override)
     raised = os.environ.get("COMPOSITE_CODEC_CAPS")
     if raised:
         try:

@@ -21,9 +21,12 @@ from composite_codec.bounds import (
     sphere_packing_upper,
 )
 from composite_codec.error_model import (
+    count_runs_weight,
+    count_v,
     enumerate_del_ball,
     enumerate_sub_ball,
     parse_spec,
+    runs,
     sub_ball_size,
     vertex_set_size_10,
 )
@@ -91,6 +94,36 @@ def test_gspb_total_two_validity():
 
 def test_gspb_deletion_value():
     assert gspb_upper(4, 2, parse_spec("d:(1,0)")).value == Fraction(143, 3)
+
+
+def _gspb_del_double_sum(n):
+    """The deletion GSPB as one Fraction term per (w, rho)."""
+    total = Fraction(0)
+    for w in range(n):
+        v = count_v(n, w)
+        for rho in range(1, n):
+            cnt = count_runs_weight(n - 1, rho, w)
+            if cnt:
+                total += Fraction(cnt * v, rho)
+    return total
+
+
+@pytest.mark.parametrize("text", ["d:(1,0)", "d:1"])
+def test_gspb_deletion_matches_double_sum(text):
+    spec = parse_spec(text)
+    for n in list(range(2, 81)) + [150, 240]:
+        assert gspb_upper(n, 2, spec).value == _gspb_del_double_sum(n), n
+
+
+def test_gspb_deletion_matches_output_enumeration():
+    # one term 1/runs(y0) per channel output (y0, s1) of d:(1,0)
+    for n in range(2, 7):
+        outputs = set()
+        for s in all_sequences(n, 2):
+            outputs |= enumerate_del_ball(s, parse_spec("d:(1,0)"))
+        brute = sum((Fraction(1, runs(y0)) for y0, _ in outputs), Fraction(0))
+        for text in ("d:(1,0)", "d:1"):
+            assert gspb_upper(n, 2, parse_spec(text)).value == brute, (n, text)
 
 
 def test_gspb_kind_and_floor():
@@ -174,6 +207,23 @@ def test_lower_bound_kinds_and_errors():
         lower_bound(4, 3, parse_spec("t:1"), "lee")
     with pytest.raises(DomainError):
         lower_bound(4, 2, parse_spec("t:1"), "nonsense")
+
+
+def test_deletion_lower_bounds_honour_their_spec():
+    d10, d1 = parse_spec("d:(1,0)"), parse_spec("d:1")
+    for method in ("vt_del", "tenengolts_del"):
+        assert lower_bound(9, 2, d10, method).kind == "valid_lower"
+        assert lower_bound(9, 2, None, method).kind == "valid_lower"
+        for spec in (d1, parse_spec("(1,0)"), parse_spec("(1,1)"), parse_spec("t:1")):
+            with pytest.raises(DomainError):
+                lower_bound(9, 2, spec, method)
+    for method in ("vt1_del", "tenengolts1_del"):
+        # a d:1 code corrects d:(1,0) as well
+        for spec in (d10, d1, None):
+            assert lower_bound(9, 2, spec, method).kind == "valid_lower"
+        for spec in (parse_spec("(1,0)"), parse_spec("t:2")):
+            with pytest.raises(DomainError):
+                lower_bound(9, 2, spec, method)
 
 
 def test_lower_bounds_stay_below_gspb():

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import inspect
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
 
 from composite_codec import (
     bounds,
@@ -119,6 +124,42 @@ def test_bounds_validity_error_exits_1():
     assert "n >= 48" in err
 
 
+# the single-point query grid of the bound-tables benchmark
+_QUERY_N = (4, 8, 12, 20, 48, 100)
+_QUERY_SPECS = {2: ("(1,0)", "(0,1)", "(1,1)", "(2,1)", "t:1", "t:2", "d:(1,0)", "d:1"),
+                3: ("(1,0,0)", "(1,1,0)", "t:1", "t:2"),
+                4: ("(1,0,0,0)", "t:1")}
+
+
+@pytest.mark.parametrize("n", _QUERY_N)
+def test_bounds_lower_never_exceeds_upper(n):
+    for k, specs in _QUERY_SPECS.items():
+        for spec in specs:
+            code, out, _ = run_cli("bounds", "--n", str(n), "--k", str(k),
+                                   "--spec", spec, "--format", "csv")
+            assert code == 0, (n, k, spec)
+            rows = list(csv.DictReader(io.StringIO(out)))
+            lower = [r for r in rows if r["kind"] == "valid_lower"]
+            upper = [r for r in rows if r["kind"] == "valid_upper"]
+            for lo in lower:
+                for up in upper:
+                    assert Fraction(lo["value"]) <= Fraction(up["value"]), (
+                        n, k, spec, lo["bound"], up["bound"])
+
+
+def test_bounds_lists_deletion_lower_bounds_by_spec():
+    def listed(spec):
+        out = run_cli("bounds", "--n", "20", "--spec", spec, "--format", "csv")[1]
+        return {r["bound"] for r in csv.DictReader(io.StringIO(out))
+                if r["bound"].startswith("lower:")}
+
+    assert listed("d:(1,0)") == {"lower:vt", "lower:vt1", "lower:tenengolts",
+                                 "lower:tenengolts1"}
+    assert listed("d:1") == {"lower:vt1", "lower:tenengolts1"}
+    assert listed("(1,1)") == {"lower:coset"}
+    _one_error_line(("bounds", "--n", "20", "--spec", "(1,1)", "--bound", "lower:vt"))
+
+
 def test_encode_membership_constructions():
     assert run_cli("encode", "0000", "--construction", "lee", "--k", "4")[:2] == (0, "0000\n")
     assert run_cli("encode", "0110", "--construction", "vt")[:2] == (0, "0110\n")
@@ -212,6 +253,14 @@ def test_verify_transversal():
     ]
 
 
+def test_verify_transversal_checks_runs_weight_counts(monkeypatch):
+    real = error_model.count_runs_weight
+    monkeypatch.setattr(error_model, "count_runs_weight",
+                        lambda n, rho, w: real(n, rho, w) + (rho == 2))
+    _one_error_line(("verify", "--transversal", "--n", "4", "--k", "2",
+                     "--spec", "d:(1,0)"))
+
+
 def test_search_optimal_json():
     code, out, _ = run_cli("search-optimal", "--n", "3", "--k", "2",
                            "--spec", "(1,0)", "--format", "json")
@@ -297,6 +346,41 @@ def test_reruns_are_byte_identical():
     assert run_cli(*args) == run_cli(*args)
     args = ("ball", "enumerate", "0121", "--k", "2", "--spec", "t:2")
     assert run_cli(*args) == run_cli(*args)
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch):
+    calls = [
+        ("bounds", "--n", "8", "--spec", "(1,0)", "--bound", "gspb",
+         "--bound", "aspv", "--format", "json"),
+        ("decompose", "012", "--k", "2"),
+        ("bounds", "--n", "8", "--spec", "(1,0)", "--bound", "gspb"),
+        ("ball", "enumerate", "0121", "--k", "2", "--spec", "t:2"),
+        ("bounds", "--n", "6", "--spec", "d:1", "--bound", "lower:vt1",
+         "--bound", "gspb", "--bound", "lower:vt1"),
+        ("transform", "--k", "2", "--reverse", "012"),
+        ("transform", "--k", "2", "--shift", "1", "012"),
+        ("decompose", "013", "--k", "2"),
+        ("bounds", "--n", "8", "--spec", "(1,0)"),
+    ]
+    reused = [run_cli(*args) for args in calls]
+    fresh = []
+    for args in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run_cli(*args))
+    assert reused == fresh
+    assert reused[0][1].count("\n") == 2
+    assert reused[4][1].count("\n") == 3
+
+
+def test_caps_override_lasts_for_one_call(monkeypatch):
+    monkeypatch.delenv("COMPOSITE_CODEC_CAPS", raising=False)
+    # nine letters: over the total-spec enumeration cap of 8
+    refused = ("ball", "enumerate", "--k", "2", "--spec", "t:2", "0" * 9)
+    assert run_cli(*refused)[0] == 1
+    code, out, _ = run_cli(*refused, "--caps", "2048")
+    assert code == 0 and out
+    assert "COMPOSITE_CODEC_CAPS" not in os.environ
+    assert run_cli(*refused)[0] == 1
 
 
 def test_exit_codes():
