@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 from operator import add, mul
 
-from composite_codec.core import DomainError
+from composite_codec.core import DomainError, ceil_log
 from composite_codec.error_model import (
     RADIUS_1,
     RADIUS_10,
@@ -27,7 +27,6 @@ from composite_codec.error_model import (
     count_v,
     enumerate_in_ball,
     runs,
-    sub_ball_size,
 )
 
 VALID_UPPER = "valid_upper"
@@ -60,17 +59,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def ceil_log(base: int, x: int) -> int:
-    """Smallest t >= 0 with base**t >= x, by integer comparison."""
-    if base < 2 or x < 1:
-        raise DomainError(f"ceil_log needs base >= 2 and x >= 1, got ({base}, {x})")
-    t, power = 0, 1
-    while power < x:
-        power *= base
-        t += 1
-    return t
 
 
 def is_prime_power(x: int) -> bool:
@@ -258,15 +246,17 @@ def gspb_weight_rule(n: int, k: int, spec):
             return Fraction(1, n + sum(1 for v in y if 0 < v < k))
         return weight
     if isinstance(spec, (PerChannel, Total)):
-        sizes: dict = {}
+        # each ball is enumerated once: as the centres around an output
+        # and, by its length, as a centre's ball size
+        balls: dict = {}
 
-        def size(x):
-            if x not in sizes:
-                sizes[x] = sub_ball_size(x, k, spec)
-            return sizes[x]
+        def ball(x):
+            if x not in balls:
+                balls[x] = enumerate_in_ball(x, k, spec)
+            return balls[x]
 
         def weight(y):
-            return Fraction(1, min(map(size, enumerate_in_ball(y, k, spec))))
+            return Fraction(1, min(len(ball(x)) for x in ball(tuple(y))))
         return weight
     raise DomainError(f"no weight rule for spec {spec!r}")
 

@@ -27,7 +27,11 @@ import json
 import random
 import sys
 from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import itemgetter
 
 from composite_codec import bounds as bounds_mod
 from composite_codec import capacity as capacity_mod
@@ -47,8 +51,6 @@ from composite_codec.core import (
     transform_reverse,
     transform_shift,
 )
-
-CONSTRUCTIONS = ("c1", "c2", "lee", "c3", "c4", "c5", "c6", "vt", "ternary")
 
 _LOWER_METHODS = {
     "lower:bch": "bch",
@@ -146,169 +148,163 @@ class _Emitter:
 # construction registry
 
 
-class _Codec:
-    """Uniform facade over the code constructions for encode/decode/verify."""
+@dataclass(frozen=True)
+class _Construction:
+    """A code construction as encode, decode and verify see it; callables
+    take the run state first.  alphabet: letter range of plain words, None
+    for k-row words.  Membership codes give members and is_member, systematic
+    codes encode; size: a closed-form count; reads: codec flags besides --k."""
 
-    def __init__(self, name: str, args):
-        self.name = name
-        self.k = args.k
-        self.label = args.label
-        self.kind = "systematic" if name in ("c4", "c6", "ternary") else "membership"
-        self.rows_input = name in ("c1", "c2", "lee", "c3", "c4", "c5", "c6")
-        self.alphabet = {"vt": 1, "ternary": 2}.get(name, self.k)
-        self._row_codes = {}
-        self._inners = {}
-        self._inner_kind = getattr(args, "inner", "hamming")
-        if name in ("c3", "c4", "c5", "c6", "vt", "ternary") and self.k != 2:
-            raise DomainError(f"construction {name} is defined for k = 2")
-        if name == "c1":
-            text = getattr(args, "spec", None) or f"({','.join(['1'] + ['0'] * (self.k - 1))})"
-            spec = em.parse_spec(text)
-            if not isinstance(spec, em.PerChannel):
-                raise DomainError("construction c1 takes a per-channel spec")
-            if any(b not in (0, 1) for b in spec.budgets):
-                raise DomainError(
-                    "construction c1 handles per-channel budgets of 0 or 1")
-            self.spec = spec
-        elif name == "c2":
-            self.spec = em.PerChannel((1,) + (0,) * (self.k - 1))
-        elif name == "lee":
-            self.spec = em.Total(1)
-        elif name in ("c3", "c4"):
-            self.spec = em.RADIUS_10
-        else:
-            self.spec = em.RADIUS_1
+    spec: Callable
+    decode: Callable
+    alphabet: int | None = None
+    k2_only: bool = False
+    members: Callable | None = None
+    is_member: Callable | None = None
+    encode: Callable | None = None
+    size: Callable | None = None
+    reads: tuple = ()
 
-    # -- per-length helpers
+
+class _Run:
+    """A construction's settings for one invocation; row codes and fiber
+    inner codes are built once per length."""
+
+    def __init__(self, entry: _Construction, args):
+        self.k, self.label, self.inner = args.k, args.label, args.inner
+        self.spec = entry.spec(args)
+        self.alphabet = entry.alphabet or args.k
+        self.rows_input = entry.alphabet is None
+        self._row_codes, self._inners = {}, {}
 
     def row_codes(self, n: int):
         if n not in self._row_codes:
             self._row_codes[n] = tuple(
                 sub_mod.HammingCosetCode(n, self.label) if budget
-                else sub_mod.TrivialCode(n)
-                for budget in self.spec.budgets)
+                else sub_mod.TrivialCode(n) for budget in self.spec.budgets)
         return self._row_codes[n]
 
     def inners(self, n: int):
         if n not in self._inners:
-            if self._inner_kind == "optimal":
-                self._inners[n] = sub_mod.optimal_fiber_inners(n)
-            else:
-                self._inners[n] = sub_mod.hamming_fiber_inners(n, self.label)
+            self._inners[n] = (sub_mod.optimal_fiber_inners(n)
+                               if self.inner == "optimal"
+                               else sub_mod.hamming_fiber_inners(n, self.label))
         return self._inners[n]
 
-    # -- membership interface
 
-    def is_member(self, s) -> bool:
-        return {
-            "c1": lambda: sub_mod.product_membership(s, self.k, self.row_codes(len(s))),
-            "c2": lambda: sub_mod.fiber_membership(s, self.k, self.inners(len(s))),
-            "lee": lambda: sub_mod.checksum_membership(s, self.k, self.label),
-            "c3": lambda: deletion_mod.vt_row_membership(s, self.label),
-            "c5": lambda: deletion_mod.vt_pair_membership(s, self.label),
-            "vt": lambda: deletion_mod.vt_membership(s, self.label),
-        }[self.name]()
-
-    def members(self, n: int):
-        return {
-            "c1": lambda: sub_mod.product_enumerate(n, self.k, self.row_codes(n)),
-            "c2": lambda: sub_mod.fiber_enumerate(n, self.k, self.inners(n)),
-            "lee": lambda: sub_mod.checksum_enumerate(n, self.k, self.label),
-            "c3": lambda: deletion_mod.vt_row_enumerate(n, self.label),
-            "c5": lambda: deletion_mod.vt_pair_enumerate(n, self.label),
-            "vt": lambda: deletion_mod.vt_enumerate(n, self.label),
-        }[self.name]()
-
-    def expected_size(self, n: int):
-        if self.name == "c2":
-            sizes = {length: code.size for length, code in self.inners(n).items()}
-            return sub_mod.fiber_code_size(n, self.k, sizes)
-        return None
-
-    # -- systematic interface
-
-    def encode(self, message):
-        return {
-            "c4": lambda: deletion_mod.marker_row_encode(message),
-            "c6": lambda: deletion_mod.marker_pair_encode(message),
-            "ternary": lambda: deletion_mod.ternary_encode(message),
-        }[self.name]()
-
-    # -- decoding
-
-    def decode(self, received):
-        name = self.name
-        if name == "c1":
-            n = len(received[0])
-            return sub_mod.product_decode(received, self.k, self.row_codes(n))
-        if name == "c2":
-            n = len(received[0])
-            return sub_mod.fiber_decode(received, self.k, self.inners(n))
-        if name == "lee":
-            return sub_mod.checksum_decode(received, self.k, self.label)
-        if name == "c3":
-            return deletion_mod.vt_row_decode(received, self.label)
-        if name == "c4":
-            return deletion_mod.marker_row_decode(received)
-        if name == "c5":
-            return deletion_mod.vt_pair_decode(received, self.label)
-        if name == "c6":
-            return deletion_mod.marker_pair_decode(received)
-        if name == "vt":
-            return deletion_mod.vt_decode(received, len(received) + 1, self.label)
-        return deletion_mod.ternary_decode(
-            received, _infer_plain_length(len(received)))
-
-    # -- verification cases
-
-    def cases(self, codeword):
-        """Yield (channel, position, received) spanning the error universe."""
-        name = self.name
-        if name in ("c1", "c2", "lee"):
-            received = sorted(em.enumerate_received_rows(codeword, self.k, self.spec))
-            for rows in received:
-                yield None, None, rows
-        elif name in ("c3", "c4"):
-            yield from deletion_mod.deletion_outputs(codeword, (0,))
-        elif name in ("c5", "c6"):
-            yield from deletion_mod.deletion_outputs(codeword, (0, 1))
-        else:
-            for y in sorted(deletion_mod.distinct_deletions(codeword)):
-                yield None, None, y
-
-    # -- text forms
-
-    def parse_word(self, text: str):
-        return parse_sequence(text, self.alphabet)
-
-    def format_word(self, word) -> str:
-        return format_sequence(word, self.alphabet)
-
-    def parse_received(self, text: str):
-        if not self.rows_input:
-            return self.parse_word(text)
-        rows = tuple(parse_binary(part) for part in text.split("/"))
-        if len(rows) != self.k:
-            raise DomainError(
-                f"expected {self.k} channel rows, got {len(rows)}")
-        return rows
-
-    def format_received(self, received) -> str:
-        if not self.rows_input:
-            return self.format_word(received)
-        return "/".join(format_binary(r) for r in received)
+def _c1_spec(args):
+    spec = em.parse_spec(
+        args.spec or f"({','.join(['1'] + ['0'] * (args.k - 1))})")
+    if not isinstance(spec, em.PerChannel):
+        raise DomainError("construction c1 takes a per-channel spec")
+    if any(b not in (0, 1) for b in spec.budgets):
+        raise DomainError(
+            "construction c1 handles per-channel budgets of 0 or 1")
+    return spec
 
 
-def _infer_plain_length(received_len: int) -> int:
-    for m in range(1, received_len + 1):
-        if m + bounds_mod.ceil_log(3, m) + 2 == received_len:
-            return m
-    raise DomainError(
-        f"no data length yields received words of length {received_len}")
+_CONSTRUCTIONS = {
+    "c1": _Construction(
+        _c1_spec, reads=("spec", "label"),
+        members=lambda r, n: sub_mod.product_enumerate(n, r.k, r.row_codes(n)),
+        is_member=lambda r, s: sub_mod.product_membership(
+            s, r.k, r.row_codes(len(s))),
+        decode=lambda r, y: sub_mod.product_decode(
+            y, r.k, r.row_codes(len(y[0])))),
+    "c2": _Construction(
+        lambda a: em.PerChannel((1,) + (0,) * (a.k - 1)),
+        reads=("inner", "label"),
+        members=lambda r, n: sub_mod.fiber_enumerate(n, r.k, r.inners(n)),
+        is_member=lambda r, s: sub_mod.fiber_membership(s, r.k, r.inners(len(s))),
+        decode=lambda r, y: sub_mod.fiber_decode(y, r.k, r.inners(len(y[0]))),
+        size=lambda r, n: sub_mod.fiber_code_size(
+            n, r.k, {ell: code.size for ell, code in r.inners(n).items()})),
+    "lee": _Construction(
+        lambda a: em.Total(1), reads=("label",),
+        members=lambda r, n: sub_mod.checksum_enumerate(n, r.k, r.label),
+        is_member=lambda r, s: sub_mod.checksum_membership(s, r.k, r.label),
+        decode=lambda r, y: sub_mod.checksum_decode(y, r.k, r.label)),
+    "c3": _Construction(
+        lambda a: em.RADIUS_10, k2_only=True, reads=("label",),
+        members=lambda r, n: deletion_mod.vt_row_enumerate(n, r.label),
+        is_member=lambda r, s: deletion_mod.vt_row_membership(s, r.label),
+        decode=lambda r, y: deletion_mod.vt_row_decode(y, r.label)),
+    "c4": _Construction(
+        lambda a: em.RADIUS_10, k2_only=True,
+        encode=lambda r, msg: deletion_mod.marker_row_encode(msg),
+        decode=lambda r, y: deletion_mod.marker_row_decode(y)),
+    "c5": _Construction(
+        lambda a: em.RADIUS_1, k2_only=True, reads=("label",),
+        members=lambda r, n: deletion_mod.vt_pair_enumerate(n, r.label),
+        is_member=lambda r, s: deletion_mod.vt_pair_membership(s, r.label),
+        decode=lambda r, y: deletion_mod.vt_pair_decode(y, r.label)),
+    "c6": _Construction(
+        lambda a: em.RADIUS_1, k2_only=True,
+        encode=lambda r, msg: deletion_mod.marker_pair_encode(msg),
+        decode=lambda r, y: deletion_mod.marker_pair_decode(y)),
+    "vt": _Construction(
+        lambda a: em.RADIUS_1, alphabet=1, k2_only=True, reads=("label",),
+        members=lambda r, n: deletion_mod.vt_enumerate(n, r.label),
+        is_member=lambda r, x: deletion_mod.vt_membership(x, r.label),
+        decode=lambda r, y: deletion_mod.vt_decode(y, len(y) + 1, r.label)),
+    "ternary": _Construction(
+        lambda a: em.RADIUS_1, alphabet=2, k2_only=True,
+        encode=lambda r, msg: deletion_mod.ternary_encode(msg),
+        decode=lambda r, y: deletion_mod.ternary_decode(
+            y, deletion_mod.message_length(
+                len(y), 2, unknown="no data length yields received words"))),
+}
+
+CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
+
+_CODEC_FLAGS = {"spec": None, "label": 0, "inner": "hamming"}
 
 
-def _build_codec(args) -> _Codec:
-    return _Codec(args.construction, args)
+def _construction(args):
+    """The entry named by --construction and its run state; a codec flag
+    off its default that the construction does not read is an error."""
+    name = args.construction
+    entry = _CONSTRUCTIONS[name]
+    for flag, default in _CODEC_FLAGS.items():
+        if flag not in entry.reads and getattr(args, flag) != default:
+            raise DomainError(f"construction {name} does not read --{flag}")
+    if args.inner == "optimal" and args.label != 0:
+        raise DomainError("--inner optimal does not read --label")
+    if entry.k2_only and args.k != 2:
+        raise DomainError(f"construction {name} is defined for k = 2")
+    return entry, _Run(entry, args)
+
+
+def _cases(run, codeword):
+    """Yield (channel, position, received) spanning the error universe:
+    received rows under a substitution spec, one deletion from the
+    protected rows of a row code, one deletion from a plain word."""
+    if not _is_deletion(run.spec):
+        for rows in sorted(em.enumerate_received_rows(codeword, run.k, run.spec)):
+            yield None, None, rows
+    elif run.rows_input:
+        channels = (0,) if run.spec == em.RADIUS_10 else (0, 1)
+        yield from deletion_mod.deletion_outputs(codeword, channels)
+    else:
+        for y in sorted(deletion_mod.distinct_deletions(codeword)):
+            yield None, None, y
+
+
+def _parse_received(run, text: str):
+    if not run.rows_input:
+        return parse_sequence(text, run.alphabet)
+    rows = tuple(parse_binary(part) for part in text.split("/"))
+    if len(rows) != run.k:
+        raise DomainError(f"expected {run.k} channel rows, got {len(rows)}")
+    return rows
+
+
+def _format_rows(rows) -> str:
+    return "/".join(format_binary(r) for r in rows)
+
+
+def _is_deletion(spec) -> bool:
+    return spec in (em.RADIUS_10, em.RADIUS_1)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def _cmd_reconstruct(args, out):
         if args.format == "text":
             out.write(rendered + "\n")
         else:
-            emitter.row(("/".join(format_binary(r) for r in rows), rendered))
+            emitter.row((_format_rows(rows), rendered))
     return 0
 
 
@@ -361,10 +357,6 @@ def _cmd_transform(args, out):
         else:
             emitter.row((format_sequence(s, args.k), rendered))
     return 0
-
-
-def _is_deletion(spec) -> bool:
-    return spec in (em.RADIUS_10, em.RADIUS_1)
 
 
 def _cmd_ball(args, out):
@@ -390,12 +382,9 @@ def _cmd_ball(args, out):
     for text in _input_items(args):
         s = parse_sequence(text, k)
         if args.mode == "enumerate":
-            if _is_deletion(spec):
-                members = sorted(em.enumerate_del_ball(s, spec))
-                rendered = ["/".join(format_binary(r) for r in m) for m in members]
-            else:
-                rendered = [format_sequence(m, k)
-                            for m in sorted(em.enumerate_sub_ball(s, k, spec))]
+            rendered = [_format_rows(m) if _is_deletion(spec)
+                        else format_sequence(m, k)
+                        for m in sorted(em.enumerate_ball(s, k, spec))]
         elif args.mode == "inbound":
             if _is_deletion(spec):
                 raise DomainError("inbound mode applies to substitution specs")
@@ -404,7 +393,7 @@ def _cmd_ball(args, out):
         else:  # received
             if _is_deletion(spec):
                 raise DomainError("received mode applies to substitution specs")
-            rendered = ["/".join(format_binary(r) for r in rows)
+            rendered = [_format_rows(rows)
                         for rows in sorted(em.enumerate_received_rows(s, k, spec))]
         for item in rendered:
             if args.format == "text":
@@ -468,25 +457,23 @@ def _cmd_bounds(args, out):
 
 
 def _cmd_encode(args, out):
-    codec = _build_codec(args)
+    entry, run = _construction(args)
     for text in _input_items(args):
-        word = codec.parse_word(text)
-        if codec.kind == "membership":
-            if not codec.is_member(word):
-                raise DomainError(
-                    f"{text} is not a codeword of {codec.name}")
-            out.write(codec.format_word(word) + "\n")
-        else:
-            out.write(codec.format_word(codec.encode(word)) + "\n")
+        word = parse_sequence(text, run.alphabet)
+        if entry.encode is not None:
+            word = entry.encode(run, word)
+        elif not entry.is_member(run, word):
+            raise DomainError(
+                f"{text} is not a codeword of {args.construction}")
+        out.write(format_sequence(word, run.alphabet) + "\n")
     return 0
 
 
 def _cmd_decode(args, out):
-    codec = _build_codec(args)
+    entry, run = _construction(args)
     for text in _input_items(args):
-        received = codec.parse_received(text)
-        decoded = codec.decode(received)
-        out.write(codec.format_word(decoded) + "\n")
+        decoded = entry.decode(run, _parse_received(run, text))
+        out.write(format_sequence(decoded, run.alphabet) + "\n")
     return 0
 
 
@@ -521,70 +508,64 @@ def _cmd_search_optimal(args, out):
 
 
 def _verify_construction(args, out):
-    codec = _build_codec(args)
-    if codec.kind == "membership":
+    entry, run = _construction(args)
+    # decode target -> codeword; a systematic codeword decodes to its message
+    if entry.encode is None:
         if args.n is None:
             raise DomainError("--n is required to verify a membership code")
-        words = codec.members(args.n)
-        targets = None
+        word_of = {word: word for word in entry.members(run, args.n)}
     else:
         if args.m is None:
             raise DomainError("--m (message length) is required to verify "
                               "a systematic code")
-        messages = list(all_sequences(args.m, codec.alphabet))
-        words = [codec.encode(msg) for msg in messages]
-        targets = dict(zip(words, messages))
+        word_of = {msg: entry.encode(run, msg)
+                   for msg in all_sequences(args.m, run.alphabet)}
 
+    decode = partial(entry.decode, run)
     if args.summary:
-        codewords = list(words)
-        count = len(codewords)
-        expected = codec.expected_size(args.n) if codec.kind == "membership" else None
-        if expected is not None and expected != count:
+        count = len(word_of)
+        expected = entry.size(run, args.n) if entry.size else count
+        if expected != count:
             raise DomainError(
                 f"enumerated {count} codewords but the size formula gives "
                 f"{expected}")
-
-        def outputs_fn(word):
-            return [received for _, _, received in codec.cases(word)]
-
-        if targets is None:
-            report = oracle_mod.exhaustive_decode_check(
-                codewords, outputs_fn, codec.decode)
-        else:
-            report = oracle_mod.exhaustive_decode_check(
-                list(targets.values()),
-                lambda msg: outputs_fn(codec.encode(msg)),
-                codec.decode)
+        report = oracle_mod.exhaustive_decode_check(
+            list(word_of),
+            lambda target: [received for _, _, received
+                            in _cases(run, word_of[target])],
+            decode)
         emitter = _Emitter(args.format, out,
                            ("construction", "codewords", "cases", "failures", "ok"))
-        emitter.row((codec.name, count, report.cases, len(report.failures),
-                     report.ok))
+        emitter.row((args.construction, count, report.cases,
+                     len(report.failures), report.ok))
         return 0 if report.ok else 1
 
+    pairs = list(word_of.items())
     if args.sample is not None:
         rng = random.Random(args.seed)
-        pool = list(words)
-        words = sorted(rng.sample(pool, min(args.sample, len(pool))))
+        pairs = sorted(rng.sample(pairs, min(args.sample, len(pairs))),
+                       key=itemgetter(1))
 
     emitter = _Emitter(args.format, out,
                        ("construction", "codeword", "channel", "position",
                         "received", "decoded", "status"))
     failures = 0
     count = 0
-    for word in words:
-        target = targets[word] if targets is not None else word
-        for channel, position, received in codec.cases(word):
+    for target, word in pairs:
+        for channel, position, received in _cases(run, word):
             count += 1
             try:
-                decoded = codec.decode(received)
+                decoded = decode(received)
                 ok = decoded == target
-                rendered = codec.format_word(decoded)
+                rendered = format_sequence(decoded, run.alphabet)
             except DomainError as exc:
                 ok = False
                 rendered = f"error: {exc}"
             failures += 0 if ok else 1
-            emitter.row((codec.name, codec.format_word(word), channel,
-                         position, codec.format_received(received), rendered,
+            shown = (_format_rows(received) if run.rows_input
+                     else format_sequence(received, run.alphabet))
+            emitter.row((args.construction, format_sequence(word, run.alphabet),
+                         channel, position, shown, rendered,
                          "ok" if ok else "fail"))
     print(f"{count} cases, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
@@ -595,10 +576,7 @@ def _verify_codebook(args, out):
     with open(args.codebook, "r", encoding="utf-8") as fh:
         words = [parse_sequence(line.strip(), args.k)
                  for line in fh if line.strip()]
-    if _is_deletion(spec):
-        balls = [em.enumerate_del_ball(w, spec) for w in words]
-    else:
-        balls = [em.enumerate_sub_ball(w, args.k, spec) for w in words]
+    balls = [em.enumerate_ball(w, args.k, spec) for w in words]
     emitter = _Emitter(args.format, out, ("codeword_a", "codeword_b"))
     conflicts = 0
     for i, mask in enumerate(oracle_mod.conflict_graph(balls)):
@@ -623,10 +601,7 @@ def _verify_transversal(args, out):
     universe: set = set()
 
     def ball_fn(s):
-        if _is_deletion(spec):
-            ball = em.enumerate_del_ball(s, spec)
-        else:
-            ball = em.enumerate_sub_ball(s, k, spec)
+        ball = em.enumerate_ball(s, k, spec)
         universe.update(ball)
         return ball
     report = oracle_mod.check_fractional_transversal(
@@ -743,12 +718,13 @@ def _add_codec_flags(sub, required=True):
     sub.add_argument("--construction", choices=CONSTRUCTIONS,
                      required=required)
     sub.add_argument("--k", type=int, default=2)
-    sub.add_argument("--label", type=int, default=0,
+    sub.add_argument("--label", type=int, default=_CODEC_FLAGS["label"],
                      help="checksum label / coset selector")
     sub.add_argument("--inner", choices=("hamming", "optimal"),
-                     default="hamming",
+                     default=_CODEC_FLAGS["inner"],
                      help="inner codes for construction c2")
-    sub.add_argument("--spec", help="per-channel spec for construction c1")
+    sub.add_argument("--spec", default=_CODEC_FLAGS["spec"],
+                     help="per-channel spec for construction c1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -861,97 +837,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-# Reachability ledger for the dispatch-coverage test: every public library
-# operation and the subcommand whose handler exercises it (possibly through
-# the functions it calls).
-OPERATIONS = {
-    "core:decompose_letter": "decompose",
-    "core:decompose_sequence": "decompose",
-    "core:parse_sequence": "decompose",
-    "core:format_binary": "decompose",
-    "core:reconstruct_column": "reconstruct",
-    "core:reconstruct_rows": "reconstruct",
-    "core:parse_binary": "reconstruct",
-    "core:format_sequence": "reconstruct",
-    "core:transform_reverse": "transform",
-    "core:transform_shift": "transform",
-    "core:all_sequences": "verify",
-    "error_model:parse_spec": "ball",
-    "error_model:raised_caps": "ball",
-    "error_model:sub_ball_size": "ball",
-    "error_model:has_closed_form": "ball",
-    "error_model:enumerate_received_rows": "ball",
-    "error_model:enumerate_sub_ball": "ball",
-    "error_model:enumerate_in_ball": "ball",
-    "error_model:runs": "ball",
-    "error_model:del_ball_size": "ball",
-    "error_model:enumerate_del_ball": "ball",
-    "error_model:count_runs_weight": "verify",
-    "error_model:count_v": "bounds",
-    "error_model:vertex_set_size_10": "verify",
-    "bounds:format_rational": "bounds",
-    "bounds:ceil_log": "bounds",
-    "bounds:is_prime_power": "bounds",
-    "bounds:sphere_packing_upper": "bounds",
-    "bounds:asymptotic_upper": "bounds",
-    "bounds:gspb_upper": "bounds",
-    "bounds:gspb_weight_rule": "verify",
-    "bounds:average_ball": "bounds",
-    "bounds:aspv": "bounds",
-    "bounds:lower_bound": "bounds",
-    "bounds:emit_bound_table": "bounds",
-    "oracle:optimal_code_size": "search-optimal",
-    "oracle:conflict_graph": "search-optimal",
-    "oracle:optimal_binary_single_error": "search-optimal",
-    "oracle:exhaustive_decode_check": "verify",
-    "oracle:check_fractional_transversal": "verify",
-    "substitution:product_membership": "encode",
-    "substitution:product_enumerate": "verify",
-    "substitution:product_decode": "decode",
-    "substitution:fiber_value": "encode",
-    "substitution:fiber_map": "encode",
-    "substitution:hamming_fiber_inners": "encode",
-    "substitution:optimal_fiber_inners": "encode",
-    "substitution:fiber_membership": "encode",
-    "substitution:fiber_enumerate": "verify",
-    "substitution:fiber_code_size": "verify",
-    "substitution:fiber_decode": "decode",
-    "substitution:checksum": "encode",
-    "substitution:checksum_membership": "encode",
-    "substitution:checksum_enumerate": "verify",
-    "substitution:checksum_decode": "decode",
-    "deletion:delete_at": "verify",
-    "deletion:distinct_deletions": "verify",
-    "deletion:deletion_outputs": "verify",
-    "deletion:vt_syndrome": "encode",
-    "deletion:vt_membership": "encode",
-    "deletion:vt_enumerate": "verify",
-    "deletion:vt_decode": "decode",
-    "deletion:ascent_syndrome": "encode",
-    "deletion:ternary_redundancy": "encode",
-    "deletion:ternary_encode": "encode",
-    "deletion:ternary_decode": "decode",
-    "deletion:vt_row_membership": "encode",
-    "deletion:vt_row_enumerate": "verify",
-    "deletion:vt_row_decode": "decode",
-    "deletion:vt_pair_membership": "encode",
-    "deletion:vt_pair_enumerate": "verify",
-    "deletion:vt_pair_decode": "decode",
-    "deletion:marker_row_encode": "encode",
-    "deletion:marker_row_decode": "decode",
-    "deletion:marker_pair_encode": "encode",
-    "deletion:marker_pair_decode": "decode",
-    "capacity:channel_matrix": "capacity",
-    "capacity:symmetric_input": "capacity",
-    "capacity:mutual_information": "capacity",
-    "capacity:capacity_composite": "capacity",
-    "capacity:capacity_binary_pair": "capacity",
-    "capacity:blahut_arimoto": "capacity",
-    "capacity:sweep": "capacity",
-    "capacity:render_svg": "capacity",
-}
 
 
 if __name__ == "__main__":

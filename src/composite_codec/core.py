@@ -217,6 +217,17 @@ def format_binary(row) -> str:
     return "".join(str(b) for b in row)
 
 
+def ceil_log(base: int, x: int) -> int:
+    """Smallest t >= 0 with base**t >= x, by integer comparison."""
+    if base < 2 or x < 1:
+        raise DomainError(f"ceil_log needs base >= 2 and x >= 1, got ({base}, {x})")
+    t, power = 0, 1
+    while power < x:
+        power *= base
+        t += 1
+    return t
+
+
 def all_sequences(n: int, k: int):
     """Iterate Sigma_{k+1}^n in lexicographic order."""
     from itertools import product

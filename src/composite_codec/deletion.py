@@ -20,11 +20,11 @@ the row lengths.
 
 from __future__ import annotations
 
-from composite_codec.bounds import ceil_log
 from composite_codec.core import (
     UNKNOWN,
     DomainError,
     all_sequences,
+    ceil_log,
     decompose_sequence,
     reconstruct_rows,
 )
@@ -189,6 +189,20 @@ def ternary_decode(received, m: int):
     return matches.pop()
 
 
+def message_length(n: int, overhead: int, span: int = 1,
+                   unknown: str = "no message length yields codewords") -> int:
+    """The data length m with m + ceil_log(3, span * m) + overhead == n.
+
+    The sum grows strictly with m, so m is unique and lies within
+    ceil_log(3, span * n) below n - overhead.  When no m fits, the
+    DomainError opens with unknown."""
+    top = n - overhead
+    for m in range(max(1, top - ceil_log(3, span * max(n, 1))), top + 1):
+        if m + ceil_log(3, span * m) + overhead == n:
+            return m
+    raise DomainError(f"{unknown} of length {n}")
+
+
 # ---------------------------------------------------------------------------
 # composite constructions, k = 2
 
@@ -278,13 +292,6 @@ def vt_pair_decode(rows, label: int):
 # -- first-channel deletion, systematic
 
 
-def _row_message_length(n: int) -> int:
-    for m in range(1, n):
-        if m + ceil_log(3, m) + 3 == n:
-            return m
-    raise DomainError(f"no message length yields codewords of length {n}")
-
-
 def marker_row_encode(message):
     """Append a marker letter twice plus the ternary syndrome digits of
     row 0, all as composite letters.
@@ -310,7 +317,7 @@ def marker_row_decode(rows):
     if len(y0) != n - 1:
         raise DomainError(
             f"row 0 must be one bit short of row 1 ({len(y0)} vs {n})")
-    m = _row_message_length(n)
+    m = message_length(n, 3)
     width = ceil_log(3, m)
     s1 = y1[:m]
     if y0[m - 1] != y0[m]:
@@ -326,13 +333,6 @@ def marker_row_decode(rows):
 
 
 _PAIR_MARKER = {0: 2, 1: 1, 2: 0}
-
-
-def _pair_message_length(n: int) -> int:
-    for m in range(1, n):
-        if m + ceil_log(3, 2 * m) + 5 == n:
-            return m
-    raise DomainError(f"no message length yields codewords of length {n}")
 
 
 def marker_pair_encode(message):
@@ -370,7 +370,7 @@ def marker_pair_decode(rows):
     else:
         raise DomainError("exactly one row must be one bit short")
     n = len(intact)
-    m = _pair_message_length(n)
+    m = message_length(n, 5, span=2)
     width = ceil_log(3, 2 * m)
     pattern = (intact[m - 1], intact[m])
     if channel == 0:

@@ -408,6 +408,14 @@ def enumerate_del_ball(s, spec) -> set:
     raise DomainError(f"not a deletion spec: {spec!r}")
 
 
+def enumerate_ball(s, k: int, spec) -> set:
+    """The error ball of s under any spec: sequences for substitution specs,
+    row pairs for the deletion specs (k = 2)."""
+    if spec in (RADIUS_10, RADIUS_1):
+        return enumerate_del_ball(s, spec)
+    return enumerate_sub_ball(s, k, spec)
+
+
 # ---------------------------------------------------------------------------
 # counting functions for the deletion bound
 

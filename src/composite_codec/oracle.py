@@ -18,14 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from composite_codec.core import all_sequences
-from composite_codec.error_model import (
-    RADIUS_1,
-    RADIUS_10,
-    SizeLimitError,
-    _cap,
-    enumerate_del_ball,
-    enumerate_sub_ball,
-)
+from composite_codec.error_model import SizeLimitError, _cap, enumerate_ball
 
 
 @dataclass(frozen=True)
@@ -212,12 +205,6 @@ def conflict_graph(balls) -> list:
     return adj
 
 
-def _ball_fn(k: int, spec):
-    if spec in (RADIUS_10, RADIUS_1):
-        return lambda s: enumerate_del_ball(s, spec)
-    return lambda s: enumerate_sub_ball(s, k, spec)
-
-
 def optimal_code_size(n: int, k: int, spec) -> OracleResult:
     """Largest code in Sigma_{k+1}^n whose error balls are pairwise disjoint.
 
@@ -230,8 +217,7 @@ def optimal_code_size(n: int, k: int, spec) -> OracleResult:
             f"space size {space_size} exceeds the oracle cap; "
             "set COMPOSITE_CODEC_CAPS to raise it")
     space = list(all_sequences(n, k))
-    ball_of = _ball_fn(k, spec)
-    adj = conflict_graph(map(ball_of, space))
+    adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
     chosen = _max_independent_set(len(space), adj)
     return OracleResult(len(chosen), tuple(space[i] for i in chosen))
 

@@ -23,10 +23,10 @@ from composite_codec.core import (
     UNKNOWN,
     DomainError,
     all_sequences,
+    ceil_log,
     decompose_sequence,
     reconstruct_rows,
 )
-from composite_codec.bounds import ceil_log
 
 
 class DecodeFailure(DomainError):

@@ -253,12 +253,62 @@ def test_verify_transversal():
     ]
 
 
+@pytest.mark.parametrize("n, spec, sequences",
+                         [(3, "(1,1,0)", 64), (4, "t:2", 256)])
+def test_verify_transversal_enumerates_each_ball_twice(monkeypatch, n, spec,
+                                                       sequences):
+    # once as an input's ball, once inside the weight rule
+    real = error_model.enumerate_sub_ball
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(error_model, "enumerate_sub_ball", counted)
+    code, out, _ = run_cli("verify", "--transversal", "--n", str(n), "--k", "3",
+                           "--spec", spec, "--format", "csv")
+    assert code == 0 and out.endswith(",true\n")
+    assert len(calls) == 2 * sequences
+
+
 def test_verify_transversal_checks_runs_weight_counts(monkeypatch):
     real = error_model.count_runs_weight
     monkeypatch.setattr(error_model, "count_runs_weight",
                         lambda n, rho, w: real(n, rho, w) + (rho == 2))
     _one_error_line(("verify", "--transversal", "--n", "4", "--k", "2",
                      "--spec", "d:(1,0)"))
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("verify", "--construction", "c2", "--spec", "(0,1)", "--n", "4",
+      "--summary"), "--spec"),
+    (("encode", "--construction", "vt", "--spec", "(1,0)", "0110"), "--spec"),
+    (("encode", "--construction", "c4", "--label", "1", "012"), "--label"),
+    (("decode", "--construction", "c6", "--label", "1", "010/011"), "--label"),
+    (("encode", "--construction", "ternary", "--label", "2", "0120"), "--label"),
+    (("verify", "--construction", "c1", "--inner", "optimal", "--n", "3",
+      "--summary"), "--inner"),
+    (("decode", "--construction", "lee", "--inner", "optimal", "000/000"),
+     "--inner"),
+    (("encode", "--construction", "c2", "--inner", "optimal", "--label", "1",
+      "0000"), "--label"),
+])
+def test_construction_rejects_flags_it_does_not_read(args, flag):
+    _one_error_line(args)
+    assert flag in run_cli(*args)[2]
+
+
+def test_construction_accepts_the_flags_it_reads():
+    assert run_cli("encode", "--construction", "c4", "--label", "0",
+                   "012")[:2] == (0, "0120001\n")
+    assert run_cli("encode", "--construction", "c1", "--spec", "(1,1)",
+                   "--label", "1", "2000000")[:2] == (0, "2000000\n")
+    assert run_cli("encode", "--construction", "c2", "--inner", "optimal",
+                   "0000")[0] == 0
+    code, out, _ = run_cli("verify", "--construction", "c2", "--label", "1",
+                           "--n", "4", "--summary")
+    assert code == 0 and out.endswith("true\n")
 
 
 def test_search_optimal_json():
@@ -412,40 +462,79 @@ def test_decompose_rejects_resolution_zero():
     _one_error_line(("decompose", "--k", "0", "000"))
 
 
-_MODULES = {
-    "core": core,
-    "error_model": error_model,
-    "bounds": bounds,
-    "oracle": oracle,
-    "substitution": substitution,
-    "deletion": deletion,
-    "capacity": capacity,
-}
+# the q-ary letter model; the CLI speaks q = 2 letters only
+_UNREACHED = {"core:decompose_letter", "core:reconstruct_column"}
 
 
-def _public_functions(mod):
-    for name in dir(mod):
-        if name.startswith("_"):
-            continue
-        obj = getattr(mod, name)
-        if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
-            yield name
+def _public_functions():
+    """Code object -> "module:function" for every public function defined
+    in the seven library modules."""
+    names = {}
+    for mod in (core, error_model, bounds, oracle, substitution, deletion,
+                capacity):
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == mod.__name__):
+                names[inspect.unwrap(obj).__code__] = f"{short}:{name}"
+    return names
 
 
-def test_operations_map_covers_every_public_function():
-    missing = []
-    for mod_name, mod in _MODULES.items():
-        for fn_name in _public_functions(mod):
-            if f"{mod_name}:{fn_name}" not in cli.OPERATIONS:
-                missing.append(f"{mod_name}:{fn_name}")
-    assert not missing, f"library functions with no CLI route: {missing}"
+def _reach_invocations(tmp_path):
+    book, svg = str(tmp_path / "book.txt"), str(tmp_path / "curve.svg")
+    calls = [
+        ("decompose", "--k", "2", "012"),
+        ("reconstruct", "001/011"),
+        ("transform", "--k", "2", "--reverse", "012"),
+        ("transform", "--k", "2", "--shift", "1", "012"),
+        ("ball", "size", "--spec", "(1,1)", "--format", "csv", "012"),
+        ("ball", "size", "--spec", "d:1", "012"),
+        ("ball", "enumerate", "--spec", "t:1", "01"),
+        ("ball", "inbound", "--spec", "t:1", "01"),
+        ("ball", "received", "--spec", "(1,0)", "01"),
+        ("bounds", "--n", "8", "--spec", "t:2"),
+        ("bounds", "--table", "table4", "--n-max", "4"),
+        ("search-optimal", "--n", "2", "--spec", "d:1", "--save", book),
+        ("search-optimal", "--binary-length", "3"),
+        ("verify", "--codebook", book, "--spec", "d:1"),
+        ("verify", "--transversal", "--n", "3", "--spec", "d:(1,0)"),
+        ("verify", "--construction", "c2", "--inner", "optimal", "--n", "3",
+         "--summary"),
+        ("capacity", "--sweep", "0.1,0.2", "--plot", svg),
+        ("capacity", "--p", "0.1", "--oracle"),
+    ]
+    for name, size in (("c1", "--n"), ("c2", "--n"), ("lee", "--n"),
+                       ("c3", "--n"), ("c4", "--m"), ("c5", "--n"),
+                       ("c6", "--m"), ("vt", "--n"), ("ternary", "--m")):
+        calls.append(("verify", "--construction", name, size, "3", "--summary"))
+    for name, word in (("c1", "0000000"), ("c2", "0000"), ("lee", "000"),
+                       ("c3", "0000"), ("c5", "0000"), ("vt", "0000")):
+        calls.append(("encode", "--construction", name, word))
+    return calls
 
 
-def test_operations_map_points_at_real_functions_and_subcommands():
-    for key, subcommand in cli.OPERATIONS.items():
-        mod_name, fn_name = key.split(":")
-        assert hasattr(_MODULES[mod_name], fn_name), key
-        assert subcommand in cli.DISPATCH, key
+def test_cli_reaches_every_public_library_function(tmp_path):
+    names = _public_functions()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            reached.add(names[frame.f_code])
+
+    results = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for args in _reach_invocations(tmp_path):
+            results.append((args, run_cli(*args)))
+    finally:
+        sys.setprofile(previous)
+    for args, (code, _, err) in results:
+        assert code == 0, (args, err)
+    missing = set(names.values()) - reached
+    assert missing == _UNREACHED, (
+        f"not reached: {sorted(missing - _UNREACHED)}; "
+        f"exempt but reached: {sorted(_UNREACHED - missing)}")
 
 
 def test_dispatch_matches_parser_subcommands():

@@ -14,6 +14,7 @@ from composite_codec.deletion import (
     marker_pair_encode,
     marker_row_decode,
     marker_row_encode,
+    message_length,
     ternary_decode,
     ternary_encode,
     ternary_redundancy,
@@ -150,6 +151,26 @@ def test_marker_row_encode_structure():
         word = marker_row_encode(msg)
         assert word[:m] == msg
         assert len(word) == m + ceil_log(3, m) + 3
+        assert message_length(len(word), 3) == m
+
+
+def test_message_length_matches_a_scan_of_every_length():
+    from composite_codec.core import ceil_log
+
+    def scan(n, overhead, span):
+        for m in range(1, n):
+            if m + ceil_log(3, span * m) + overhead == n:
+                return m
+        return None
+
+    for overhead, span in ((2, 1), (3, 1), (5, 2)):
+        for n in range(-1, 1000):
+            try:
+                got = message_length(n, overhead, span)
+            except DomainError as exc:
+                assert str(exc) == f"no message length yields codewords of length {n}"
+                got = None
+            assert got == scan(n, overhead, span), (n, overhead, span)
 
 
 def test_marker_row_decodes_every_first_row_deletion():
@@ -169,6 +190,7 @@ def test_marker_pair_encode_structure():
         word = marker_pair_encode(msg)
         assert word[:m] == msg
         assert len(word) == m + ceil_log(3, 2 * m) + 5
+        assert message_length(len(word), 5, span=2) == m
 
 
 def test_marker_pair_decodes_every_deletion_in_either_row():
