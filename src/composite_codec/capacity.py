@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from composite_codec.core import DomainError
 
 OUTPUTS = ("0", "1", "2", "?")
@@ -36,39 +34,39 @@ def _check_p(p: float) -> float:
     return p
 
 
-def channel_matrix(p: float) -> np.ndarray:
+def channel_matrix(p: float) -> list[list[float]]:
     """Row i: distribution of the read-back symbol given letter i was sent.
 
     Columns follow OUTPUTS; '?' collects the invalid bit pattern (1, 0).
     """
     p = _check_p(p)
     q = 1.0 - p
-    return np.array([
+    return [
         [q * q, p * q, p * p, p * q],
         [p * q, q * q, p * q, p * p],
         [p * p, p * q, q * q, p * q],
-    ])
+    ]
 
 
-def symmetric_input(alpha: float) -> np.ndarray:
+def symmetric_input(alpha: float) -> list[float]:
     if not 0.0 <= alpha <= 0.5:
         raise DomainError(f"alpha {alpha} outside [0, 1/2]")
-    return np.array([alpha, 1.0 - 2.0 * alpha, alpha])
+    return [alpha, 1.0 - 2.0 * alpha, alpha]
 
 
 def _entropy(dist) -> float:
-    dist = np.asarray(dist, dtype=float)
-    nz = dist[dist > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return -sum(x * math.log2(x) for x in dist if x > 0.0)
+
+
+def _output(dist, matrix) -> list[float]:
+    """The output distribution dist @ matrix."""
+    return [sum(d * x for d, x in zip(dist, column)) for column in zip(*matrix)]
 
 
 def mutual_information(dist, matrix) -> float:
     """I(X; Y) in bits for input distribution dist over the rows."""
-    dist = np.asarray(dist, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    out = dist @ matrix
-    h_given = float(sum(d * _entropy(row) for d, row in zip(dist, matrix)))
-    return _entropy(out) - h_given
+    h_given = sum(d * _entropy(row) for d, row in zip(dist, matrix))
+    return _entropy(_output(dist, matrix)) - h_given
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,11 @@ def capacity_composite(p: float, tol: float = 1e-10) -> CapacityResult:
     def f(alpha: float) -> float:
         return mutual_information(symmetric_input(alpha), matrix)
 
-    grid = np.linspace(0.0, 0.5, 129)
-    best = int(np.argmax([f(a) for a in grid]))
+    # 129 points 0, 1/256, ..., 1/2 (exact in binary), then golden section
+    # between the neighbours of the best one
+    grid = [i / 256.0 for i in range(129)]
+    values = [f(a) for a in grid]
+    best = values.index(max(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
     a = hi - _GOLDEN * (hi - lo)
@@ -120,23 +121,24 @@ def blahut_arimoto(matrix, tol: float = 1e-12, max_iter: int = 100000):
     """Capacity over all input distributions; returns (distribution, bits).
 
     Alternating maximisation with the standard upper/lower sandwich as the
-    stopping rule.
+    stopping rule: d_i = D(row i || output) gives lower = sum_i dist_i d_i
+    <= capacity <= max_i d_i.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    m = matrix.shape[0]
-    dist = np.full(m, 1.0 / m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            out = dist @ matrix
-            ratio = np.where(matrix > 0.0, matrix / out, 1.0)
-            d = (matrix * np.log2(np.where(matrix > 0.0, ratio, 1.0))).sum(axis=1)
-            lower = float(dist @ d)
-            upper = float(d.max())
-            if upper - lower < tol:
-                return dist, lower
-            dist = dist * np.exp2(d - d.max())
-            dist /= dist.sum()
-    return dist, float(dist @ d)
+    rows = [[float(x) for x in row] for row in matrix]
+    m = len(rows)
+    dist = [1.0 / m] * m
+    for _ in range(max_iter):
+        out = _output(dist, rows)
+        d = [sum(x * math.log2(x / o) for x, o in zip(row, out) if x > 0.0)
+             for row in rows]
+        lower = sum(w * v for w, v in zip(dist, d))
+        upper = max(d)
+        if upper - lower < tol:
+            return dist, lower
+        dist = [w * 2.0 ** (v - upper) for w, v in zip(dist, d)]
+        total = sum(dist)
+        dist = [w / total for w in dist]
+    return dist, sum(w * v for w, v in zip(dist, d))
 
 
 def sweep(ps, tol: float = 1e-10):

@@ -367,11 +367,8 @@ def _cmd_ball(args, out):
                            ("sequence", "size", "closed_form"))
         for text in _input_items(args):
             s = parse_sequence(text, k)
-            if _is_deletion(spec):
-                size, closed = em.del_ball_size(s, spec), True
-            else:
-                size = em.sub_ball_size(s, k, spec)
-                closed = em.has_closed_form(k, spec)
+            size = em.ball_size(s, k, spec)
+            closed = _is_deletion(spec) or em.has_closed_form(k, spec)
             if args.format == "text":
                 out.write(f"{size}\n")
             else:
@@ -572,6 +569,8 @@ def _verify_construction(args, out):
 
 
 def _verify_codebook(args, out):
+    if args.spec is None:
+        raise DomainError("--spec is required for --codebook")
     spec = em.parse_spec(args.spec)
     with open(args.codebook, "r", encoding="utf-8") as fh:
         words = [parse_sequence(line.strip(), args.k)
@@ -634,7 +633,18 @@ def _verify_transversal(args, out):
     return 0 if report.feasible else 1
 
 
+def _reject_codec_flags(args, mode: str) -> None:
+    """verify --codebook and --transversal read --spec and --k only."""
+    if args.construction:
+        raise DomainError(f"verify {mode} does not read --construction")
+    for flag, default in _CODEC_FLAGS.items():
+        if flag != "spec" and getattr(args, flag) != default:
+            raise DomainError(f"verify {mode} does not read --{flag}")
+
+
 def _cmd_verify(args, out):
+    if args.codebook or args.transversal:
+        _reject_codec_flags(args, "--codebook" if args.codebook else "--transversal")
     if args.codebook:
         return _verify_codebook(args, out)
     if args.transversal:

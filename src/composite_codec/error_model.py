@@ -81,10 +81,6 @@ def parse_spec(text: str):
     raise DomainError(f"unrecognized error spec {text!r}")
 
 
-class UnsupportedSpecError(DomainError):
-    """No closed form for this (k, spec) combination."""
-
-
 class SizeLimitError(DomainError):
     """Instance exceeds the enumeration cap."""
 
@@ -125,40 +121,29 @@ def _cap(default: int) -> int:
 # substitution balls: closed forms
 
 
-def sub_ball_size(s, k: int, spec, allow_enumeration: bool = True) -> int:
+def sub_ball_size(s, k: int, spec) -> int:
     """Exact size of the substitution error ball centred at s.
 
-    Closed forms: per-channel (1,0,...,0) and total-1 for any k; any
-    (e0,e1) (counted letter by letter) and any total-e for k = 2.  Other
-    combinations fall back to enumeration when allowed (and within caps),
-    else raise.
+    Closed forms: per-channel (1,0,...,0) and total-1 for any k, any total-e
+    for k = 2.  Every other (k, spec) is counted letter by letter.
     """
-    n = len(s)
+    _check_sub_spec(k, spec)
     if isinstance(spec, PerChannel):
-        if len(spec.budgets) != k:
-            raise DomainError(
-                f"budget vector {spec} has {len(spec.budgets)} entries, expected k={k}")
         if all(e == 0 for e in spec.budgets):
             return 1
         if spec.budgets[0] == 1 and all(e == 0 for e in spec.budgets[1:]):
             # single error in the first channel: only k-1 <-> k toggles
             m = sum(1 for x in s if x in (k - 1, k))
             return 1 + m
-        if k == 2:
-            return _count_ball(s, k, spec)
-    elif isinstance(spec, Total):
+    else:
         if spec.errors == 0:
             return 1
         if spec.errors == 1:
             m = sum(1 for x in s if 1 <= x <= k - 1)
-            return 1 + n + m
+            return 1 + len(s) + m
         if k == 2:
             return _ball_size_total(s, spec.errors)
-    else:
-        raise DomainError(f"not a substitution spec: {spec!r}")
-    if allow_enumeration:
-        return len(enumerate_sub_ball(s, k, spec))
-    raise UnsupportedSpecError(f"no closed form for k={k}, spec={spec}")
+    return _count_ball(s, k, spec)
 
 
 def _binom(a: int, b: int) -> int:
@@ -408,10 +393,24 @@ def enumerate_del_ball(s, spec) -> set:
     raise DomainError(f"not a deletion spec: {spec!r}")
 
 
+def _check_deletion_k(k: int) -> None:
+    if k != 2:
+        raise DomainError("deletion balls are stated for k = 2")
+
+
+def ball_size(s, k: int, spec) -> int:
+    """Size of the error ball of s under any spec (deletion specs: k = 2)."""
+    if spec in (RADIUS_10, RADIUS_1):
+        _check_deletion_k(k)
+        return del_ball_size(s, spec)
+    return sub_ball_size(s, k, spec)
+
+
 def enumerate_ball(s, k: int, spec) -> set:
     """The error ball of s under any spec: sequences for substitution specs,
     row pairs for the deletion specs (k = 2)."""
     if spec in (RADIUS_10, RADIUS_1):
+        _check_deletion_k(k)
         return enumerate_del_ball(s, spec)
     return enumerate_sub_ball(s, k, spec)
 

@@ -299,6 +299,29 @@ def test_construction_rejects_flags_it_does_not_read(args, flag):
     assert flag in run_cli(*args)[2]
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("--construction", "c3", "--label", "4"), "--construction"),
+    (("--label", "4"), "--label"),
+    (("--inner", "optimal"), "--inner"),
+])
+@pytest.mark.parametrize("mode", ["--codebook", "--transversal"])
+def test_verify_codebook_and_transversal_reject_codec_flags(tmp_path, mode,
+                                                           args, flag):
+    book = tmp_path / "empty.txt"
+    book.write_text("")
+    selector = ("--codebook", str(book)) if mode == "--codebook" else (
+        "--transversal", "--n", "3")
+    call = ("verify",) + selector + ("--spec", "(1,0)") + args
+    _one_error_line(call)
+    assert f"verify {mode} does not read {flag}" in run_cli(*call)[2]
+
+
+def test_verify_codebook_requires_spec(tmp_path):
+    book = tmp_path / "empty.txt"
+    book.write_text("")
+    _one_error_line(("verify", "--codebook", str(book)))
+
+
 def test_construction_accepts_the_flags_it_reads():
     assert run_cli("encode", "--construction", "c4", "--label", "0",
                    "012")[:2] == (0, "0120001\n")
@@ -460,6 +483,29 @@ def test_malformed_spec_is_a_one_line_error():
 
 def test_decompose_rejects_resolution_zero():
     _one_error_line(("decompose", "--k", "0", "000"))
+
+
+@pytest.mark.parametrize("args", [
+    ("ball", "enumerate", "--k", "3", "--spec", "d:1", "012"),
+    ("ball", "size", "--k", "3", "--spec", "d:(1,0)", "0120"),
+    ("ball", "size", "--k", "1", "--spec", "d:1", "01"),
+    ("search-optimal", "--n", "2", "--k", "3", "--spec", "d:1"),
+    ("verify", "--transversal", "--n", "2", "--k", "3", "--spec", "d:(1,0)"),
+])
+def test_deletion_balls_need_two_rows(args):
+    _one_error_line(args)
+    assert run_cli(*args)[2] == "error: deletion balls are stated for k = 2\n"
+
+
+def test_ball_size_without_closed_form_past_the_enumeration_cap():
+    s = "012301230123"
+    spec = error_model.parse_spec("(1,1,0)")
+    want = len(error_model.enumerate_sub_ball(core.parse_sequence(s, 3), 3,
+                                              spec, max_n=len(s)))
+    code, out, err = run_cli("ball", "size", "--k", "3", "--spec", "(1,1,0)",
+                             "--format", "csv", s)
+    assert (code, err) == (0, "")
+    assert out == f"sequence,size,closed_form\n{s},{want},false\n"
 
 
 # the q-ary letter model; the CLI speaks q = 2 letters only

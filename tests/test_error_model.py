@@ -17,10 +17,11 @@ from composite_codec.error_model import (
     PerChannel,
     SizeLimitError,
     Total,
-    UnsupportedSpecError,
+    ball_size,
     count_runs_weight,
     count_v,
     del_ball_size,
+    enumerate_ball,
     enumerate_del_ball,
     enumerate_in_ball,
     enumerate_received_rows,
@@ -195,16 +196,22 @@ def test_received_rows_differ_from_clean_within_budget():
         assert flips0 <= 1 and flips1 == 0
 
 
-def test_unsupported_closed_form_raises_without_enumeration():
-    spec = parse_spec("(1,1,0)")
-    assert not has_closed_form(3, spec)
+NO_CLOSED_FORM = {3: ("(1,1,0)", "(0,0,1)", "(2,0,1)", "t:2"),
+                  4: ("(0,1,0,1)", "(1,1,1,1)", "t:2")}
+
+
+@pytest.mark.parametrize("k", sorted(NO_CLOSED_FORM))
+def test_ball_size_without_closed_form_matches_enumeration(k):
     assert has_closed_form(2, parse_spec("(2,1)"))
-    assert has_closed_form(3, parse_spec("t:1"))
-    with pytest.raises(UnsupportedSpecError):
-        sub_ball_size((0, 1, 2), 3, spec, allow_enumeration=False)
-    # enumeration fallback still produces the count
-    got = sub_ball_size((0, 1, 2), 3, spec)
-    assert got == len(enumerate_sub_ball((0, 1, 2), 3, spec))
+    assert has_closed_form(k, parse_spec("t:1"))
+    rng = random.Random(k)
+    for text in NO_CLOSED_FORM[k]:
+        spec = parse_spec(text)
+        assert not has_closed_form(k, spec)
+        for n in range(1, 6):
+            words = list(all_sequences(n, k))
+            for s in words if n <= 3 else rng.sample(words, 60):
+                assert sub_ball_size(s, k, spec) == len(enumerate_sub_ball(s, k, spec))
 
 
 def test_enumeration_cap():
@@ -236,6 +243,18 @@ def test_del_ball_enumeration_matches_size():
                 spec = parse_spec(text)
                 ball = enumerate_del_ball(s, spec)
                 assert len(ball) == del_ball_size(s, spec)
+
+
+def test_deletion_balls_are_stated_for_two_rows():
+    s = (0, 1, 2, 1)
+    for spec in (parse_spec("d:(1,0)"), parse_spec("d:1")):
+        assert ball_size(s, 2, spec) == del_ball_size(s, spec)
+        assert enumerate_ball(s, 2, spec) == enumerate_del_ball(s, spec)
+        for k in (1, 3, 4):
+            with pytest.raises(DomainError, match="stated for k = 2"):
+                ball_size(s, k, spec)
+            with pytest.raises(DomainError, match="stated for k = 2"):
+                enumerate_ball(s, k, spec)
 
 
 def test_del_ball_shapes():
