@@ -27,6 +27,7 @@ from composite_codec.error_model import (
     count_v,
     enumerate_in_ball,
     runs,
+    sub_ball_pairs,
 )
 
 VALID_UPPER = "valid_upper"
@@ -275,21 +276,8 @@ def average_ball(n: int, k: int, spec) -> BoundResult:
         if k != 2:
             raise DomainError("deletion averages are stated for k = 2")
         return BoundResult(2 + Fraction(8 * (n - 1), 9), AVERAGE, "n >= 1")
-    if _is_first_channel_single(spec):
-        return BoundResult(Fraction(2 * n, k + 1) + 1, AVERAGE, "n >= 1")
-    if isinstance(spec, Total) and spec.errors == 1:
-        return BoundResult(Fraction(2 * k * n, k + 1) + 1, AVERAGE, "n >= 1")
-    if isinstance(spec, PerChannel) and spec.budgets == (1, 1):
-        if k != 2:
-            raise DomainError("(1,1) average is stated for k = 2")
-        return BoundResult(
-            Fraction(4 * n * n, 9) + Fraction(14 * n, 9) + 1, AVERAGE, "n >= 1")
-    if isinstance(spec, Total) and spec.errors == 2:
-        if k != 2:
-            raise DomainError("total-2 average is stated for k = 2")
-        return BoundResult(
-            Fraction(8 * n * n, 9) + Fraction(10 * n, 9) + 1, AVERAGE, "n >= 1")
-    raise DomainError(f"no average ball size for k={k}, spec={spec}")
+    return BoundResult(Fraction(sub_ball_pairs(n, k, spec), (k + 1) ** n),
+                       AVERAGE, "n >= 1")
 
 
 def aspv(n: int, k: int, spec) -> BoundResult:

@@ -11,7 +11,8 @@ Conventions
 * error specs: "(e0,e1,...)" per channel, "t:e" total, "d:(1,0)" / "d:1"
   for deletions;
 * --format picks text, csv or json (one JSON object per line);
-* exit status: 0 success, 1 domain error or failed verification, 2 usage.
+* exit status: 0 success, 1 domain error, a file that cannot be opened
+  or failed verification, 2 usage.
 
 Inputs come from positional arguments, --in FILE, or stdin (one item per
 line); long outputs are streamed row by row.  Identical invocations
@@ -286,7 +287,7 @@ def _cases(run, codeword):
         channels = (0,) if run.spec == em.RADIUS_10 else (0, 1)
         yield from deletion_mod.deletion_outputs(codeword, channels)
     else:
-        for y in sorted(deletion_mod.distinct_deletions(codeword)):
+        for y in sorted(em.single_deletions(codeword)):
             yield None, None, y
 
 
@@ -633,18 +634,25 @@ def _verify_transversal(args, out):
     return 0 if report.feasible else 1
 
 
-def _reject_codec_flags(args, mode: str) -> None:
-    """verify --codebook and --transversal read --spec and --k only."""
-    if args.construction:
-        raise DomainError(f"verify {mode} does not read --construction")
-    for flag, default in _CODEC_FLAGS.items():
-        if flag != "spec" and getattr(args, flag) != default:
+# every verify flag with its default, and the ones each check mode reads
+_VERIFY_FLAGS = {"construction": None, **_CODEC_FLAGS, "n": None, "m": None,
+                 "summary": False, "sample": None, "seed": 0,
+                 "codebook": None, "transversal": False}
+_CHECK_READS = {"--codebook": ("codebook", "spec"),
+                "--transversal": ("transversal", "spec", "n")}
+
+
+def _reject_unread_flags(args, mode: str) -> None:
+    """A verify flag off its default that the check mode does not read is
+    an error."""
+    for flag, default in _VERIFY_FLAGS.items():
+        if flag not in _CHECK_READS[mode] and getattr(args, flag) != default:
             raise DomainError(f"verify {mode} does not read --{flag}")
 
 
 def _cmd_verify(args, out):
     if args.codebook or args.transversal:
-        _reject_codec_flags(args, "--codebook" if args.codebook else "--transversal")
+        _reject_unread_flags(args, "--codebook" if args.codebook else "--transversal")
     if args.codebook:
         return _verify_codebook(args, out)
     if args.transversal:
@@ -844,7 +852,7 @@ def main(argv=None) -> int:
             return DISPATCH[args.command](args, out)
     except BrokenPipeError:
         return 0
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,11 +42,6 @@ def delete_at(x, pos: int):
     return tuple(x[:pos]) + tuple(x[pos + 1:])
 
 
-def distinct_deletions(x):
-    """All distinct words obtainable by deleting one symbol (one per run)."""
-    return {delete_at(x, p) for p in range(len(x))}
-
-
 # ---------------------------------------------------------------------------
 # binary single-deletion checksum codes
 

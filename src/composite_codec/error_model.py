@@ -118,55 +118,21 @@ def _cap(default: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# substitution balls: closed forms
-
-
-def sub_ball_size(s, k: int, spec) -> int:
-    """Exact size of the substitution error ball centred at s.
-
-    Closed forms: per-channel (1,0,...,0) and total-1 for any k, any total-e
-    for k = 2.  Every other (k, spec) is counted letter by letter.
-    """
-    _check_sub_spec(k, spec)
-    if isinstance(spec, PerChannel):
-        if all(e == 0 for e in spec.budgets):
-            return 1
-        if spec.budgets[0] == 1 and all(e == 0 for e in spec.budgets[1:]):
-            # single error in the first channel: only k-1 <-> k toggles
-            m = sum(1 for x in s if x in (k - 1, k))
-            return 1 + m
-    else:
-        if spec.errors == 0:
-            return 1
-        if spec.errors == 1:
-            m = sum(1 for x in s if 1 <= x <= k - 1)
-            return 1 + len(s) + m
-        if k == 2:
-            return _ball_size_total(s, spec.errors)
-    return _count_ball(s, k, spec)
-
-
-def _binom(a: int, b: int) -> int:
-    """C(a, b) with the zero convention for b > a or negative arguments."""
-    return comb(a, b) if 0 <= b <= a else 0
-
-
-def _ball_size_total(s, e: int) -> int:
-    """k = 2 total-e ball size (j zeros, m ones, r twos in s)."""
-    n = len(s)
-    m = sum(1 for x in s if x == 1)
-    total = 0
-    for i in range(e + 1):
-        inner = 0
-        for ell in range(e - i + 1):
-            psum = sum(_binom(n - m - ell, p)
-                       for p in range((e - i - ell) // 2 + 1))
-            inner += _binom(n - m, ell) * psum
-        total += _binom(m, i) * (2 ** i) * inner
-    return total
+# substitution balls
+#
+# Letter sigma decomposes into the column (0,)*(k-sigma) + (1,)*sigma, so
+# turning sigma into tau flips rows k - max(sigma, tau) .. k - min(sigma,
+# tau) - 1 and nothing else.  y is in the ball of s exactly when these
+# per-letter costs, summed over positions, fit the budget; the condition is
+# symmetric in s and y.  A ball therefore depends only on the letter
+# composition of its centre, which is what the count below uses.
 
 
 def has_closed_form(k: int, spec) -> bool:
+    """Whether a closed formula for the ball size is known for (k, spec).
+
+    Only labels output; the count does not use it.
+    """
     if isinstance(spec, PerChannel):
         if all(e == 0 for e in spec.budgets):
             return True
@@ -176,16 +142,6 @@ def has_closed_form(k: int, spec) -> bool:
     if isinstance(spec, Total):
         return spec.errors <= 1 or k == 2
     return False
-
-
-# ---------------------------------------------------------------------------
-# substitution balls: letter by letter
-#
-# Letter sigma decomposes into the column (0,)*(k-sigma) + (1,)*sigma, so
-# turning sigma into tau flips rows k - max(sigma, tau) .. k - min(sigma,
-# tau) - 1 and nothing else.  y is in the ball of s exactly when these
-# per-letter costs, summed over positions, fit the budget; the condition is
-# symmetric in s and y.
 
 
 def _check_sub_spec(k: int, spec) -> None:
@@ -208,15 +164,31 @@ def _check_enumeration_cap(n: int, spec, max_n: int | None) -> None:
         raise SizeLimitError(f"n={n} exceeds enumeration cap {cap}")
 
 
+class _Moves(dict):
+    """(sigma, budget left) -> the (tau, budget left after) moves that fit,
+    filled on first lookup."""
+
+    def __init__(self, cost):
+        super().__init__()
+        self.cost = cost
+
+    def __missing__(self, key):
+        sigma, left = key
+        fits = self[key] = [
+            (tau, rest) for tau, c in enumerate(self.cost[sigma])
+            for rest in [tuple(a - b for a, b in zip(left, c))]
+            if min(rest) >= 0]
+        return fits
+
+
 @lru_cache(maxsize=None)
-def _letter_costs(k: int, spec) -> tuple:
-    """Budget of spec, its (k+1) x (k+1) cost table and a move cache.
+def _letter_moves(k: int, spec) -> tuple:
+    """Budget of spec and its move table.
 
     Budgets and costs are tuples: one entry per channel (the rows flipped)
     for per-channel specs, a single |sigma - tau| for total specs.  The
-    cache maps (sigma, budget left) to the (tau, budget left after) moves
-    that fit; the letter pass fills it as states are reached.  It memoises
-    a pure function of its key, so every caller may share it.
+    table memoises a pure function of its key, so every caller may share
+    it.
     """
     if isinstance(spec, PerChannel):
         budget = spec.budgets
@@ -227,56 +199,85 @@ def _letter_costs(k: int, spec) -> tuple:
         budget = (spec.errors,)
         cost = [[(abs(sigma - tau),) for tau in range(k + 1)]
                 for sigma in range(k + 1)]
-    return budget, cost, {}
+    return budget, _Moves(cost)
 
 
-def _letter_pass(s, k: int, spec, start, extend):
-    """Position-by-position pass over s keyed by the remaining budget.
+def _move_count(k: int, spec, groups) -> int:
+    """Ways to change positions within the budget, counted by group.
 
-    Each layer maps a remaining budget to the value carried by the prefixes
-    that leave it; extend(value, tau) carries a value one letter on (as a
-    new object), and values meeting at one budget are combined with +=.
+    groups: (letters, copies, stay) triples, copies positions that each hold
+    one of letters and count stay ways when left unchanged.  C(copies, j)
+    picks the j positions that change; those take one move each, in
+    position order, keyed by the budget they leave.  Every change costs at
+    least one unit, so j stops at the budget.
     """
+    budget, moves = _letter_moves(k, spec)
+    layer = {budget: 1}
+    for letters, copies, stay in groups:
+        out: dict = {}
+        for j in range(copies + 1):
+            weight = comb(copies, j) * stay ** (copies - j)
+            nxt: dict = {}
+            for left, ways in layer.items():
+                out[left] = out.get(left, 0) + weight * ways
+                for sigma in letters:
+                    for tau, rest in moves[sigma, left]:
+                        if tau != sigma:
+                            nxt[rest] = nxt.get(rest, 0) + ways
+            if not nxt:
+                break
+            layer = nxt
+        layer = out
+    return sum(layer.values())
+
+
+def sub_ball_size(s, k: int, spec) -> int:
+    """Exact size of the substitution error ball centred at s, counted over
+    the letter composition of s."""
+    _check_sub_spec(k, spec)
+    counts = [s.count(sigma) for sigma in range(k + 1)]
+    if k < 1 or sum(counts) != len(s):
+        _check_q2_letters(s, k)  # names the letter the counts missed
+    return _move_count(k, spec, [((sigma,), copies, 1)
+                                 for sigma, copies in enumerate(counts)])
+
+
+def sub_ball_pairs(n: int, k: int, spec) -> int:
+    """(centre, member) pairs over Sigma_{k+1}^n: the sum of every ball size.
+
+    The count of sub_ball_size with every letter allowed at every position.
+    """
+    _check_sub_spec(k, spec)
+    if n < 0:
+        raise DomainError(f"length n={n} is negative")
+    return _move_count(k, spec, [(range(k + 1), n, k + 1)])
+
+
+def enumerate_sub_ball(s, k: int, spec, max_n: int | None = None) -> set:
+    """The ball as an explicit set, built position by position.
+
+    Every sequence whose per-channel (or total) substitution cost from s
+    fits the budget, each produced once; column-inconsistent received rows
+    never arise.  Equals the valid reconstructions of
+    enumerate_received_rows.  Always contains s.  Each layer maps a
+    remaining budget to the prefixes that leave it.
+    """
+    _check_sub_spec(k, spec)
+    _check_enumeration_cap(len(s), spec, max_n)
     _check_q2_letters(s, k)
-    budget, cost, moves = _letter_costs(k, spec)
-    layer = {budget: start}
+    budget, moves = _letter_moves(k, spec)
+    layer = {budget: [()]}
     for sigma in s:
         nxt: dict = {}
-        for left, value in layer.items():
-            fits = moves.get((sigma, left))
-            if fits is None:
-                fits = moves[sigma, left] = [
-                    (tau, rest) for tau, c in enumerate(cost[sigma])
-                    for rest in [tuple(a - b for a, b in zip(left, c))]
-                    if min(rest) >= 0]
-            for tau, rest in fits:
-                step = extend(value, tau)
+        for left, prefixes in layer.items():
+            for tau, rest in moves[sigma, left]:
+                step = [p + (tau,) for p in prefixes]
                 if rest in nxt:
                     nxt[rest] += step
                 else:
                     nxt[rest] = step
         layer = nxt
-    return layer.values()
-
-
-def _count_ball(s, k: int, spec) -> int:
-    """Exact ball size, counted letter by letter."""
-    return sum(_letter_pass(s, k, spec, 1, lambda ways, tau: ways))
-
-
-def enumerate_sub_ball(s, k: int, spec, max_n: int | None = None) -> set:
-    """The ball as an explicit set, built letter by letter.
-
-    Every sequence whose per-channel (or total) substitution cost from s
-    fits the budget, each produced once; column-inconsistent received rows
-    never arise.  Equals the valid reconstructions of
-    enumerate_received_rows.  Always contains s.
-    """
-    _check_sub_spec(k, spec)
-    _check_enumeration_cap(len(s), spec, max_n)
-    layer = _letter_pass(s, k, spec, [()],
-                         lambda prefixes, tau: [p + (tau,) for p in prefixes])
-    return {y for ys in layer for y in ys}
+    return {y for ys in layer.values() for y in ys}
 
 
 def enumerate_in_ball(y, k: int, spec) -> set:
@@ -357,8 +358,9 @@ def runs(x) -> int:
     return 1 + sum(1 for i in range(1, len(x)) if x[i] != x[i - 1])
 
 
-def _single_deletions(row) -> set:
-    return {row[:i] + row[i + 1:] for i in range(len(row))}
+def single_deletions(x) -> set:
+    """All distinct words obtainable by deleting one symbol (one per run)."""
+    return {x[:i] + x[i + 1:] for i in range(len(x))}
 
 
 def del_ball_size(s, spec) -> int:
@@ -385,10 +387,10 @@ def enumerate_del_ball(s, spec) -> set:
         raise DomainError("deletion balls need n >= 1")
     r0, r1 = decompose_sequence(s, 2)
     if spec == RADIUS_10:
-        return {(y0, r1) for y0 in _single_deletions(r0)}
+        return {(y0, r1) for y0 in single_deletions(r0)}
     if spec == RADIUS_1:
-        first = {(y0, r1) for y0 in _single_deletions(r0)}
-        second = {(r0, y1) for y1 in _single_deletions(r1)}
+        first = {(y0, r1) for y0 in single_deletions(r0)}
+        second = {(r0, y1) for y1 in single_deletions(r1)}
         return first | second
     raise DomainError(f"not a deletion spec: {spec!r}")
 

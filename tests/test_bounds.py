@@ -6,6 +6,7 @@ import pytest
 
 from composite_codec.core import DomainError, all_sequences
 from composite_codec.bounds import (
+    AVERAGE,
     TABLE_KINDS,
     ValidityRangeError,
     aspv,
@@ -21,13 +22,15 @@ from composite_codec.bounds import (
     sphere_packing_upper,
 )
 from composite_codec.error_model import (
+    PerChannel,
+    Total,
     count_runs_weight,
     count_v,
+    enumerate_ball,
     enumerate_del_ball,
     enumerate_sub_ball,
     parse_spec,
     runs,
-    sub_ball_size,
     vertex_set_size_10,
 )
 from composite_codec.oracle import check_fractional_transversal
@@ -152,16 +155,57 @@ def test_sphere_packing_golden():
     assert sphere_packing_upper(4, parse_spec("(1,1)")).value == Fraction(81, 4)
 
 
+# (k, largest n, specs) for the brute-force means
+AVERAGE_GRID = (
+    (2, 5, ("(0,0)", "(1,0)", "(0,1)", "(1,1)", "(2,1)", "(2,2)",
+            "t:0", "t:1", "t:2", "t:3", "d:(1,0)", "d:1")),
+    (3, 3, ("(0,0,0)", "(1,0,0)", "(1,1,0)", "t:0", "t:2", "t:3")),
+    (4, 3, ("(0,0,0,0)", "(1,0,0,0)", "(0,0,1,1)", "t:1", "t:3")),
+)
+
+
 def test_average_ball_matches_direct_average():
-    for text in ("(1,0)", "t:1", "d:(1,0)", "d:1"):
+    for k, max_n, texts in AVERAGE_GRID:
+        for text in texts:
+            spec = parse_spec(text)
+            for n in range(1, max_n + 1):
+                sizes = [len(enumerate_ball(s, k, spec)) for s in all_sequences(n, k)]
+                expect = Fraction(sum(sizes), (k + 1) ** n)
+                assert average_ball(n, k, spec).value == expect, (k, n, text)
+                assert aspv(n, k, spec).value == (k + 1) ** n / expect
+
+
+def _average_closed_form(n, k, spec):
+    """The four substitution averages known in closed form."""
+    if spec == PerChannel((1,) + (0,) * (k - 1)):
+        return Fraction(2 * n, k + 1) + 1
+    if spec == Total(1):
+        return Fraction(2 * k * n, k + 1) + 1
+    if (k, spec) == (2, PerChannel((1, 1))):
+        return Fraction(4 * n * n, 9) + Fraction(14 * n, 9) + 1
+    if (k, spec) == (2, Total(2)):
+        return Fraction(8 * n * n, 9) + Fraction(10 * n, 9) + 1
+    raise AssertionError(f"no closed form for k={k}, spec={spec}")
+
+
+@pytest.mark.parametrize("k, texts", [
+    (2, ("(1,0)", "t:1", "(1,1)", "t:2")),
+    (3, ("(1,0,0)", "t:1")),
+    (4, ("(1,0,0,0)", "t:1")),
+])
+def test_average_ball_matches_the_closed_forms(k, texts):
+    for text in texts:
         spec = parse_spec(text)
-        for n in (2, 3, 4):
-            if text.startswith("d:"):
-                sizes = [len(enumerate_del_ball(s, spec)) for s in all_sequences(n, 2)]
-            else:
-                sizes = [sub_ball_size(s, 2, spec) for s in all_sequences(n, 2)]
-            expect = Fraction(sum(sizes), 3 ** n)
-            assert average_ball(n, 2, spec).value == expect
+        for n in range(241):
+            result = average_ball(n, k, spec)
+            assert result.value == _average_closed_form(n, k, spec), (n, text)
+            assert (result.kind, result.validity_range) == (AVERAGE, "n >= 1")
+
+
+def test_average_ball_checks_the_budget_length():
+    for k, text in ((3, "(1,0)"), (3, "(1,1)"), (2, "(1,0,0)")):
+        with pytest.raises(DomainError, match="budget vector"):
+            average_ball(5, k, parse_spec(text))
 
 
 def test_average_deletion_closed_forms():

@@ -303,6 +303,10 @@ def test_construction_rejects_flags_it_does_not_read(args, flag):
     (("--construction", "c3", "--label", "4"), "--construction"),
     (("--label", "4"), "--label"),
     (("--inner", "optimal"), "--inner"),
+    (("--summary",), "--summary"),
+    (("--sample", "2"), "--sample"),
+    (("--m", "4"), "--m"),
+    (("--seed", "3"), "--seed"),
 ])
 @pytest.mark.parametrize("mode", ["--codebook", "--transversal"])
 def test_verify_codebook_and_transversal_reject_codec_flags(tmp_path, mode,
@@ -314,6 +318,26 @@ def test_verify_codebook_and_transversal_reject_codec_flags(tmp_path, mode,
     call = ("verify",) + selector + ("--spec", "(1,0)") + args
     _one_error_line(call)
     assert f"verify {mode} does not read {flag}" in run_cli(*call)[2]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("--n", "3"), "--n"),
+    (("--transversal", "--n", "3"), "--n"),
+    (("--transversal",), "--transversal"),
+    (("--summary", "--n", "3", "--sample", "2", "--m", "4"), "--n"),
+])
+def test_verify_codebook_rejects_n_and_transversal(tmp_path, args, flag):
+    book = tmp_path / "empty.txt"
+    book.write_text("")
+    call = ("verify", "--codebook", str(book), "--spec", "(1,0)") + args
+    _one_error_line(call)
+    assert run_cli(*call)[2] == f"error: verify --codebook does not read {flag}\n"
+
+
+def test_verify_transversal_accepts_the_default_seed():
+    code, out, _ = run_cli("verify", "--transversal", "--n", "2", "--spec",
+                           "(1,0)", "--seed", "0")
+    assert code == 0 and out.endswith("true\n")
 
 
 def test_verify_codebook_requires_spec(tmp_path):
@@ -495,6 +519,47 @@ def test_decompose_rejects_resolution_zero():
 def test_deletion_balls_need_two_rows(args):
     _one_error_line(args)
     assert run_cli(*args)[2] == "error: deletion balls are stated for k = 2\n"
+
+
+@pytest.mark.parametrize("spec", ["t:1", "(1,0)", "t:2", "(0,0)", "(2,1)"])
+def test_ball_size_checks_the_letters_for_every_spec(spec):
+    args = ("ball", "size", "--spec", spec, "0?1")
+    _one_error_line(args)
+    assert run_cli(*args)[2] == "error: sequence contains '?'\n"
+
+
+def _unopenable(tmp_path):
+    missing, nodir = str(tmp_path / "missing"), str(tmp_path / "nodir")
+    return [
+        ("verify", "--codebook", missing, "--spec", "(1,0)"),
+        ("ball", "size", "--spec", "(1,0)", "--in", missing),
+        ("capacity", "--p", "0.1", "--out", os.path.join(nodir, "x.csv")),
+        ("search-optimal", "--n", "2", "--spec", "(1,0)", "--save",
+         os.path.join(nodir, "w")),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=[
+    "verify-codebook", "ball-in", "capacity-out", "search-optimal-save"])
+def test_unopenable_file_is_a_one_line_error(tmp_path, case):
+    args = _unopenable(tmp_path)[case]
+    _one_error_line(args)
+    assert "No such file or directory" in run_cli(*args)[2]
+
+
+def test_bounds_lists_averages_for_every_substitution_spec():
+    for k, text in ((2, "(2,1)"), (3, "(1,1,0)"), (3, "t:2"), (4, "(0,0,1,1)")):
+        spec = error_model.parse_spec(text)
+        words = list(core.all_sequences(3, k))
+        mean = Fraction(sum(len(error_model.enumerate_sub_ball(s, k, spec))
+                            for s in words), len(words))
+        code, out, err = run_cli("bounds", "--n", "3", "--k", str(k),
+                                 "--spec", text, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = {row["bound"]: row for row in csv.DictReader(io.StringIO(out))}
+        assert Fraction(rows["average"]["value"]) == mean, text
+        assert Fraction(rows["aspv"]["value"]) == len(words) / mean, text
+        assert rows["aspv"]["kind"] == "average_value"
 
 
 def test_ball_size_without_closed_form_past_the_enumeration_cap():

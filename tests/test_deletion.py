@@ -9,7 +9,6 @@ from composite_codec.deletion import (
     ascent_syndrome,
     delete_at,
     deletion_outputs,
-    distinct_deletions,
     marker_pair_decode,
     marker_pair_encode,
     marker_row_decode,
@@ -29,17 +28,22 @@ from composite_codec.deletion import (
     vt_row_membership,
     vt_syndrome,
 )
-from composite_codec.error_model import enumerate_del_ball, parse_spec, runs
+from composite_codec.error_model import (
+    enumerate_del_ball,
+    parse_spec,
+    runs,
+    single_deletions,
+)
 from composite_codec.oracle import exhaustive_decode_check
 from composite_codec.substitution import DecodeFailure
 
 
 def test_delete_at_and_distinct_deletions():
     assert delete_at((0, 1, 1, 0), 1) == (0, 1, 0)
-    dels = distinct_deletions((0, 1, 1, 0))
+    dels = single_deletions((0, 1, 1, 0))
     assert dels == {(1, 1, 0), (0, 1, 0), (0, 1, 1)}
     for x in product((0, 1), repeat=6):
-        assert len(distinct_deletions(x)) == runs(x)
+        assert len(single_deletions(x)) == runs(x)
 
 
 def test_vt_syndrome_and_membership():
@@ -68,7 +72,7 @@ def test_vt_decode_every_single_deletion():
     for n in (2, 3, 4, 5, 6, 7):
         for label in range(n + 1):
             for x in vt_enumerate(n, label):
-                for y in distinct_deletions(x):
+                for y in single_deletions(x):
                     assert vt_decode(y, n, label) == x
 
 

@@ -29,6 +29,7 @@ from composite_codec.error_model import (
     has_closed_form,
     parse_spec,
     runs,
+    sub_ball_pairs,
     sub_ball_size,
     vertex_set_size_10,
 )
@@ -74,12 +75,28 @@ def test_total_one_ball_counts_interior_letters():
             assert sub_ball_size(s, k, spec) == 1 + len(s) + interior
 
 
+# (k, largest n, specs): every word of every length up to the largest n
+SMALL_GRID = (
+    (2, 5, ("(0,0)", "(1,0)", "(0,1)", "(1,1)", "(2,1)", "(2,2)",
+            "t:0", "t:1", "t:2", "t:3")),
+    (3, 3, ("(0,0,0)", "(1,0,0)", "(1,1,0)", "(2,1,0)",
+            "t:0", "t:1", "t:2", "t:3")),
+    (4, 3, ("(0,0,0,0)", "(1,0,0,0)", "(0,0,1,1)", "(1,1,0,0)",
+            "t:0", "t:1", "t:2", "t:3")),
+)
+
+
 def test_ball_formula_matches_enumeration_small():
-    specs = [parse_spec(t) for t in ("(1,0)", "(0,1)", "(1,1)", "(2,1)", "t:1", "t:2")]
-    for n in (1, 2, 3, 4):
-        for s in all_sequences(n, 2):
-            for spec in specs:
-                assert sub_ball_size(s, 2, spec) == len(enumerate_sub_ball(s, 2, spec))
+    for k, max_n, texts in SMALL_GRID:
+        for text in texts:
+            spec = parse_spec(text)
+            for n in range(max_n + 1):
+                total = 0
+                for s in all_sequences(n, k):
+                    size = len(enumerate_sub_ball(s, k, spec))
+                    assert sub_ball_size(s, k, spec) == size, (s, text)
+                    total += size
+                assert sub_ball_pairs(n, k, spec) == total, (k, n, text)
 
 
 def test_ball_enumeration_k3_total():
@@ -212,6 +229,74 @@ def test_ball_size_without_closed_form_matches_enumeration(k):
             words = list(all_sequences(n, k))
             for s in words if n <= 3 else rng.sample(words, 60):
                 assert sub_ball_size(s, k, spec) == len(enumerate_sub_ball(s, k, spec))
+
+
+def _binom(a, b):
+    return comb(a, b) if 0 <= b <= a else 0
+
+
+def _closed_form_size(s, k, spec):
+    """Closed formulas for the ball size: zero budgets, (1,0,...,0) and t:1
+    at any k, t:e at k = 2 (m ones in s).  None for the other specs; the
+    k = 2 (e0, e1) sizes are _transformation_sum_e0e1."""
+    if isinstance(spec, PerChannel):
+        if not any(spec.budgets):
+            return 1
+        if spec.budgets[0] == 1 and not any(spec.budgets[1:]):
+            # single error in the first channel: only k-1 <-> k toggles
+            return 1 + sum(1 for x in s if x in (k - 1, k))
+        return None
+    if spec.errors == 0:
+        return 1
+    if spec.errors == 1:
+        return 1 + len(s) + sum(1 for x in s if 1 <= x <= k - 1)
+    if k != 2:
+        return None
+    n, e = len(s), spec.errors
+    m = sum(1 for x in s if x == 1)
+    total = 0
+    for i in range(e + 1):
+        inner = 0
+        for ell in range(e - i + 1):
+            psum = sum(_binom(n - m - ell, p)
+                       for p in range((e - i - ell) // 2 + 1))
+            inner += _binom(n - m, ell) * psum
+        total += _binom(m, i) * (2 ** i) * inner
+    return total
+
+
+@pytest.mark.parametrize("k, texts", [
+    (2, ("(0,0)", "(1,0)", "t:0", "t:1", "t:2", "t:3", "t:4")),
+    (3, ("(0,0,0)", "(1,0,0)", "t:0", "t:1")),
+    (4, ("(0,0,0,0)", "(1,0,0,0)", "t:0", "t:1")),
+])
+def test_ball_count_matches_the_closed_forms(k, texts):
+    rng = random.Random(k)
+    for text in texts:
+        spec = parse_spec(text)
+        assert has_closed_form(k, spec)
+        for n in (1, 2, 7, 30, 200, 1000):
+            for _ in range(3):
+                s = tuple(rng.randrange(k + 1) for _ in range(n))
+                assert sub_ball_size(s, k, spec) == _closed_form_size(s, k, spec)
+        # words of one letter, where the closed forms are at their extremes
+        for sigma in range(k + 1):
+            s = (sigma,) * 50
+            assert sub_ball_size(s, k, spec) == _closed_form_size(s, k, spec)
+
+
+@pytest.mark.parametrize("text", ["(0,0)", "(1,0)", "(2,1)", "t:0", "t:1", "t:2"])
+def test_ball_size_checks_the_letters_for_every_spec(text):
+    spec = parse_spec(text)
+    with pytest.raises(DomainError, match="outside"):
+        sub_ball_size((9, 9), 2, spec)
+    with pytest.raises(DomainError, match="contains '\\?'"):
+        sub_ball_size((0, "?", 1), 2, spec)
+
+
+def test_ball_pairs_reject_a_negative_length():
+    with pytest.raises(DomainError, match="negative"):
+        sub_ball_pairs(-1, 2, parse_spec("t:1"))
 
 
 def test_enumeration_cap():
