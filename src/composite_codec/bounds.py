@@ -24,6 +24,7 @@ from composite_codec.error_model import (
     RADIUS_10,
     PerChannel,
     Total,
+    _check_sub_spec,
     count_v,
     enumerate_in_ball,
     runs,
@@ -73,9 +74,19 @@ def is_prime_power(x: int) -> bool:
     return True  # x itself is prime
 
 
-def _is_first_channel_single(spec) -> bool:
-    return (isinstance(spec, PerChannel) and spec.budgets
-            and spec.budgets[0] == 1 and all(e == 0 for e in spec.budgets[1:]))
+def _is_first_channel_single(spec, k: int) -> bool:
+    """Is spec the (1,0,...,0) family?  Such a vector with other than k
+    entries raises DomainError."""
+    if not (isinstance(spec, PerChannel) and spec.budgets
+            and spec.budgets[0] == 1 and all(e == 0 for e in spec.budgets[1:])):
+        return False
+    _check_sub_spec(k, spec)
+    return True
+
+
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"length n={n} is negative")
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +95,7 @@ def _is_first_channel_single(spec) -> bool:
 
 def sphere_packing_upper(n: int, spec) -> BoundResult:
     """3^n / C(n, min(e0,e1)) or 3^n / C(n, e); k = 2 only."""
+    _check_length(n)
     if isinstance(spec, PerChannel):
         if len(spec.budgets) != 2:
             raise DomainError("sphere packing bound is stated for k = 2")
@@ -104,6 +116,8 @@ def asymptotic_upper(n: int, spec, tighter: bool = False) -> BoundResult:
     (2n/3)^{e0+e1} variant, requiring 0 < e1 <= e0 <= 2 e1.
     Total: 3^n / (4n/3e)^e for positive even e.
     """
+    if n < 1:
+        raise ValidityRangeError("asymptotic forms need n >= 1")
     if isinstance(spec, PerChannel):
         if len(spec.budgets) != 2:
             raise DomainError("asymptotic bound is stated for k = 2")
@@ -181,13 +195,14 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
     k = 2 and n >= 4; total-2 for k = 2 and n >= 48; deletion radius (1,0)
     (also the radius-1 column of the published table) for k = 2 and n >= 2.
     """
+    _check_length(n)
     if spec in (RADIUS_10, RADIUS_1):
         if k != 2:
             raise DomainError("deletion bounds are stated for k = 2")
         if n < 2:
             raise ValidityRangeError("deletion GSPB needs n >= 2")
         return BoundResult(_deletion_gspb(n), VALID_UPPER, "n >= 2")
-    if _is_first_channel_single(spec):
+    if _is_first_channel_single(spec, k):
         value = Fraction((k + 1) ** (n + 1) - (k - 1) ** (n + 1), 2 * (n + 1))
         return BoundResult(value, VALID_UPPER, "n >= 1")
     if isinstance(spec, Total) and spec.errors == 1:
@@ -227,6 +242,7 @@ def gspb_weight_rule(n: int, k: int, spec):
     exactly.  Outputs are valid sequences for substitution specs and
     (deleted row 0, row 1) pairs for the first-channel deletion spec.
     """
+    _check_length(n)
     if spec == RADIUS_10:
         def weight(output):
             y0, _ = output
@@ -234,7 +250,7 @@ def gspb_weight_rule(n: int, k: int, spec):
         return weight
     if spec == RADIUS_1:
         raise DomainError("no weight rule for the either-channel deletion spec")
-    if _is_first_channel_single(spec):
+    if _is_first_channel_single(spec, k):
         heavy = (k - 1, k)
 
         def weight(y):
@@ -243,6 +259,9 @@ def gspb_weight_rule(n: int, k: int, spec):
     if isinstance(spec, Total) and spec.errors == 1:
         # total-1 ball size is 1 + n + #interior letters, and one error
         # moves the interior count by at most one
+        if n < 1:
+            raise ValidityRangeError("total-1 weight rule needs n >= 1")
+
         def weight(y):
             return Fraction(1, n + sum(1 for v in y if 0 < v < k))
         return weight
@@ -268,6 +287,8 @@ def gspb_weight_rule(n: int, k: int, spec):
 
 def average_ball(n: int, k: int, spec) -> BoundResult:
     """Average ball size over the whole space (exact rational)."""
+    if spec in (RADIUS_10, RADIUS_1) and n < 1:
+        raise ValidityRangeError("deletion averages need n >= 1")
     if spec == RADIUS_10:
         if k != 2:
             raise DomainError("deletion averages are stated for k = 2")
@@ -307,6 +328,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
 
     spec=None (the table emitters) skips the spec check.
     """
+    _check_length(n)
     if method == "bch":
         if not isinstance(spec, Total):
             raise DomainError("bch takes a total spec")
@@ -327,7 +349,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
                          2 ** (ceil_log(2, n + 1) * sum(spec.budgets)))
         return BoundResult(value, VALID_LOWER, "n >= 1")
     if method == "fiber":
-        if not (spec is None or _is_first_channel_single(spec)):
+        if not (spec is None or _is_first_channel_single(spec, k)):
             raise DomainError("fiber bound applies to the (1,0,...,0) family")
         if k < 2:
             raise DomainError("fiber bound needs k >= 2")

@@ -7,8 +7,13 @@ truth on small parameters.
 
 optimal_code_size solves maximum independent set on the conflict graph
 (two sequences conflict when their error balls share an output) with an
-exact branch-and-bound.  Witnesses are deterministic: among all optima the
+exact branch-and-bound, run on each connected component of the graph
+separately: a spec that never flips some channel splits the space into
+many small components.  Witnesses are deterministic: among all optima the
 lexicographically smallest codeword list is returned.
+
+exhaustive_decode_check counts every error case but decodes each distinct
+channel output of a codeword once.
 """
 
 from __future__ import annotations
@@ -51,6 +56,15 @@ class TransversalReport:
 # maximum independent set
 
 
+def _bits(mask: int) -> list:
+    """Set bit positions of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
 def _clique_order(n_vertices: int, adj: list) -> list:
     """Vertices listed greedy-clique by greedy-clique.
 
@@ -90,12 +104,7 @@ class _MisSolver:
         self.order = order
         self.adj = radj = [0] * n_vertices
         for v in range(n_vertices):
-            rest, a = adj[v], 0
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                a |= 1 << pos[u]
-            radj[pos[v]] = a
+            radj[pos[v]] = sum(1 << pos[u] for u in _bits(adj[v]))
         self.c = [0] * (n_vertices + 1)
         self.best = 0
         self._found = False
@@ -170,17 +179,47 @@ class _MisSolver:
         return chosen
 
 
+def _components(n_vertices: int, adj: list) -> list:
+    """Connected components as vertex bitmasks, by breadth-first search."""
+    unseen = (1 << n_vertices) - 1
+    components = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        components.append(comp)
+    return components
+
+
 def _max_independent_set(n_vertices: int, adj: list) -> list:
-    if n_vertices == 0:
-        return []
+    """The lexicographically smallest maximum independent set, ascending.
+
+    Each connected component is solved on its own: a maximum set of a
+    disjoint union is a union of maximum sets of the parts, and the
+    witness probe's choice for a vertex depends only on its component, so
+    the union of each component's lex-smallest set is the lex-smallest set
+    of the whole graph.
+    """
+    chosen = []
     # the searches recurse once per vertex added to a set; the limit is
     # process-wide, so it is put back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 2 * n_vertices + 200))
     try:
-        return _MisSolver(n_vertices, adj).lex_smallest_witness()
+        for comp in _components(n_vertices, adj):
+            vertices = _bits(comp)
+            local = {v: i for i, v in enumerate(vertices)}
+            sub_adj = [sum(1 << local[u] for u in _bits(adj[v])) for v in vertices]
+            solver = _MisSolver(len(vertices), sub_adj)
+            chosen += (vertices[i] for i in solver.lex_smallest_witness())
     finally:
         sys.setrecursionlimit(limit)
+    return sorted(chosen)
 
 
 def conflict_graph(balls) -> list:
@@ -252,20 +291,25 @@ def exhaustive_decode_check(codewords, outputs_fn, decode_fn) -> DecodeCheckRepo
 
     outputs_fn(c) enumerates the channel outputs to test for codeword c.
     A case fails when decode_fn(output) != c; failures are collected, not
-    raised, so callers can report all of them.
+    raised, so callers can report all of them.  Every case is counted and
+    reported, but decode_fn runs once per distinct output of a codeword
+    (several error patterns often give the same output), so it must be a
+    function of the output alone.
     """
     failures = []
     cases = 0
     for c in codewords:
+        wrong: dict = {}  # output -> () if it decodes to c, else (what it gave,)
         for y in outputs_fn(c):
             cases += 1
-            try:
-                got = decode_fn(y)
-            except Exception as exc:  # decoder crash is also a failure
-                failures.append((c, y, f"raised {type(exc).__name__}: {exc}"))
-                continue
-            if got != c:
-                failures.append((c, y, got))
+            if y not in wrong:
+                try:
+                    got = decode_fn(y)
+                except Exception as exc:  # decoder crash is also a failure
+                    wrong[y] = (f"raised {type(exc).__name__}: {exc}",)
+                else:
+                    wrong[y] = (got,) if got != c else ()
+            failures.extend((c, y, got) for got in wrong[y])
     return DecodeCheckReport(cases, tuple(failures))
 
 

@@ -343,3 +343,14 @@ def test_emit_bound_table_kinds():
         assert rows[0][0] == "n"
     with pytest.raises(DomainError):
         list(emit_bound_table("table9", range(2, 4)))
+
+
+def test_first_channel_bounds_check_the_budget_length():
+    spec = PerChannel((1, 0))
+    for call in (lambda: gspb_upper(4, 3, spec),
+                 lambda: gspb_weight_rule(4, 3, spec),
+                 lambda: lower_bound(4, 3, spec, "fiber")):
+        with pytest.raises(DomainError, match="has 2 entries, expected k=3"):
+            call()
+    assert gspb_upper(4, 3, PerChannel((1, 0, 0))).value == Fraction(496, 5)
+    assert lower_bound(4, 3, PerChannel((1, 0, 0)), "fiber").value == 90

@@ -562,6 +562,52 @@ def test_bounds_lists_averages_for_every_substitution_spec():
         assert rows["aspv"]["kind"] == "average_value"
 
 
+@pytest.mark.parametrize("n", (0, -1))
+def test_bounds_at_lengths_below_one_end_cleanly(n):
+    # every row either prints or, asked for by name, is one error: line
+    for k, specs in _QUERY_SPECS.items():
+        for spec in specs:
+            code, out, err = run_cli("bounds", "--n", str(n), "--k", str(k),
+                                     "--spec", spec, "--format", "csv")
+            assert (code, err) == (0, ""), (k, spec)
+            listed = {row["bound"] for row in csv.DictReader(io.StringIO(out))}
+            assert not listed & {"asymptotic", "tighter"}
+            if n < 0:
+                assert listed == set(), (k, spec)
+            for name in cli.BOUND_CHOICES:
+                args = ("bounds", "--n", str(n), "--k", str(k), "--spec", spec,
+                        "--bound", name)
+                if name not in listed:
+                    _one_error_line(args)
+
+
+def test_bounds_name_the_out_of_range_length():
+    assert run_cli("bounds", "--n", "0", "--spec", "(1,1)", "--bound",
+                   "asymptotic")[2] == "error: asymptotic forms need n >= 1\n"
+    assert run_cli("bounds", "--n", "-1", "--spec", "(1,0)", "--bound",
+                   "gspb")[2] == "error: length n=-1 is negative\n"
+
+
+def test_verify_transversal_at_lengths_below_one_ends_cleanly():
+    for n, spec in ((-1, "(1,0)"), (-1, "t:1"), (0, "t:1")):
+        _one_error_line(("verify", "--transversal", "--n", str(n), "--spec", spec))
+    code, out, err = run_cli("verify", "--transversal", "--n", "0", "--spec", "(1,0)")
+    assert (code, err) == (0, "")
+
+
+def test_bounds_check_the_first_channel_budget_length():
+    code, out, err = run_cli("bounds", "--n", "4", "--k", "3", "--spec", "(1,0)",
+                             "--format", "csv")
+    assert (code, err) == (0, "")
+    assert not {row["bound"] for row in csv.DictReader(io.StringIO(out))} & {
+        "gspb", "lower:fiber", "average", "aspv"}
+    for name in ("gspb", "lower:fiber", "average", "aspv"):
+        args = ("bounds", "--n", "4", "--k", "3", "--spec", "(1,0)", "--bound", name)
+        _one_error_line(args)
+        assert run_cli(*args)[2] == (
+            "error: budget vector (1,0) has 2 entries, expected k=3\n")
+
+
 def test_ball_size_without_closed_form_past_the_enumeration_cap():
     s = "012301230123"
     spec = error_model.parse_spec("(1,1,0)")

@@ -1,6 +1,8 @@
 """Tests for the exact search oracle and the exhaustive checkers."""
 
 import hashlib
+import itertools
+import random
 import sys
 from fractions import Fraction
 
@@ -8,11 +10,14 @@ import pytest
 
 from composite_codec.core import all_sequences, format_sequence
 from composite_codec.error_model import (
+    enumerate_ball,
     enumerate_del_ball,
     enumerate_sub_ball,
     parse_spec,
 )
 from composite_codec.oracle import (
+    _max_independent_set,
+    _MisSolver,
     check_fractional_transversal,
     conflict_graph,
     exhaustive_decode_check,
@@ -56,6 +61,17 @@ def test_optimal_code_size_substitution_goldens():
 def test_optimal_code_size_deletion_goldens():
     assert optimal_code_size(4, 2, parse_spec("d:(1,0)")).size == 31
     assert optimal_code_size(4, 2, parse_spec("d:1")).size == 25
+
+
+@pytest.mark.parametrize("n, text, size", [
+    # clique-constrained integer program (scipy.optimize.milp), ROADMAP item 2
+    (5, "(1,0)", 50), (6, "(1,0)", 124), (5, "d:(1,0)", 80), (6, "d:(1,0)", 209),
+    # (0,1) is (1,0) under the letter reversal s -> 2 - s, which swaps the
+    # two rows and complements them; the same integer program gives 50
+    (5, "(0,1)", 50),
+])
+def test_optimal_code_size_past_n4_goldens(n, text, size):
+    assert optimal_code_size(n, 2, parse_spec(text)).size == size
 
 
 def test_optimal_witness_balls_are_disjoint():
@@ -120,6 +136,65 @@ def test_exhaustive_decode_check_failing():
     codeword, received, decoded = report.failures[0]
     assert codeword == (1, 1, 1)
     assert decoded == (0, 0, 0)
+
+
+def _per_case_check(codewords, outputs_fn, decode_fn):
+    """The unmemoised loop: one decode per case."""
+    failures = []
+    cases = 0
+    for c in codewords:
+        for y in outputs_fn(c):
+            cases += 1
+            try:
+                got = decode_fn(y)
+            except Exception as exc:
+                failures.append((c, y, f"raised {type(exc).__name__}: {exc}"))
+                continue
+            if got != c:
+                failures.append((c, y, got))
+    return cases, tuple(failures)
+
+
+def _with_repeats(word):
+    # repeated outputs, as deleting either of two equal neighbours gives
+    outs = list(_flips(word))
+    return outs + outs[::-1] + [word]
+
+
+def _decoders():
+    def majority(y):
+        return (0, 0, 0) if sum(y) <= 1 else (1, 1, 1)
+
+    def wrong(y):
+        return (0, 0, 0)
+
+    def gives_none(y):
+        return None if y[0] != y[1] else majority(y)
+
+    def raises(y):
+        if sum(y) == 1:
+            raise ValueError(f"no repair for {y}")
+        return majority(y)
+    return (majority, wrong, gives_none, raises)
+
+
+@pytest.mark.parametrize("decoder", _decoders(), ids=lambda f: f.__name__)
+def test_exhaustive_decode_check_matches_the_per_case_loop(decoder):
+    # (1,0,0) shares outputs with both others and decodes wrongly itself
+    codewords = [(0, 0, 0), (1, 1, 1), (0, 0, 0), (1, 0, 0)]
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return decoder(y)
+
+    report = exhaustive_decode_check(codewords, _with_repeats, counted)
+    assert (report.cases, report.failures) == _per_case_check(
+        codewords, _with_repeats, decoder)
+    # one decode per distinct output of each codeword, repeated codewords
+    # included
+    expected = [y for c in codewords for y in dict.fromkeys(_with_repeats(c))]
+    assert calls == expected
 
 
 def test_exhaustive_decode_check_counts_decoder_exceptions_as_failures():
@@ -226,3 +301,50 @@ def test_search_leaves_the_recursion_limit_alone():
     before = sys.getrecursionlimit()
     optimal_code_size(6, 2, parse_spec("(0,0)"))
     assert sys.getrecursionlimit() == before
+
+
+def _brute_force_mis(n_vertices, adj):
+    """Size and lex-smallest maximum independent set over all subsets."""
+    for size in range(n_vertices, -1, -1):
+        for subset in itertools.combinations(range(n_vertices), size):
+            if all(not (adj[v] >> u) & 1 for v, u in itertools.combinations(subset, 2)):
+                return list(subset)
+    return []
+
+
+def _random_graph(rng):
+    """Several components on shuffled labels: isolated vertices, cliques
+    and random graphs."""
+    n_vertices = rng.randint(0, 14)
+    labels = list(range(n_vertices))
+    rng.shuffle(labels)
+    adj = [0] * n_vertices
+    start = 0
+    while start < n_vertices:
+        part = labels[start:start + rng.randint(1, 6)]
+        start += len(part)
+        kind = rng.choice(("isolated", "clique", "random"))
+        p = {"isolated": 0.0, "clique": 1.0, "random": 0.45}[kind]
+        for v, u in itertools.combinations(part, 2):
+            if rng.random() < p:
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
+    return n_vertices, adj
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_component_split_matches_brute_force(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        n_vertices, adj = _random_graph(rng)
+        assert _max_independent_set(n_vertices, adj) == _brute_force_mis(n_vertices, adj)
+
+
+@pytest.mark.parametrize("n, k, text, size, digest", WITNESS_GOLDENS)
+def test_component_split_matches_the_whole_graph_search(n, k, text, size, digest):
+    spec = parse_spec(text)
+    space = list(all_sequences(n, k))
+    adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
+    whole = _MisSolver(len(space), adj).lex_smallest_witness()
+    assert len(whole) == size
+    assert _max_independent_set(len(space), adj) == whole
