@@ -204,7 +204,7 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
         return BoundResult(_deletion_gspb(n), VALID_UPPER, "n >= 2")
     if _is_first_channel_single(spec, k):
         value = Fraction((k + 1) ** (n + 1) - (k - 1) ** (n + 1), 2 * (n + 1))
-        return BoundResult(value, VALID_UPPER, "n >= 1")
+        return BoundResult(value, VALID_UPPER, "n >= 0")
     if isinstance(spec, Total) and spec.errors == 1:
         denom = Fraction(2 * k * n, k + 1) - 1
         if denom <= 0:
@@ -298,7 +298,7 @@ def average_ball(n: int, k: int, spec) -> BoundResult:
             raise DomainError("deletion averages are stated for k = 2")
         return BoundResult(2 + Fraction(8 * (n - 1), 9), AVERAGE, "n >= 1")
     return BoundResult(Fraction(sub_ball_pairs(n, k, spec), (k + 1) ** n),
-                       AVERAGE, "n >= 1")
+                       AVERAGE, "n >= 0")
 
 
 def aspv(n: int, k: int, spec) -> BoundResult:
@@ -347,7 +347,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
             raise DomainError(f"budget vector needs k={k} entries")
         value = Fraction((k + 1) ** n,
                          2 ** (ceil_log(2, n + 1) * sum(spec.budgets)))
-        return BoundResult(value, VALID_LOWER, "n >= 1")
+        return BoundResult(value, VALID_LOWER, "n >= 0")
     if method == "fiber":
         if not (spec is None or _is_first_channel_single(spec, k)):
             raise DomainError("fiber bound applies to the (1,0,...,0) family")
@@ -372,6 +372,8 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
             raise DomainError(f"{method} bound applies to {' and '.join(served)}")
         if k != 2:
             raise DomainError("deletion bounds are stated for k = 2")
+        if n < 1:
+            raise ValidityRangeError("deletion lower bounds need n >= 1")
         if method == "vt_del":
             return BoundResult(Fraction(3 ** n, n + 1), VALID_LOWER, "n >= 1")
         if method == "vt1_del":

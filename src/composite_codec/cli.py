@@ -550,15 +550,19 @@ def _verify_construction(args, out):
     failures = 0
     count = 0
     for target, word in pairs:
+        # several cases of one codeword often give the same received word:
+        # decode each once, as oracle.exhaustive_decode_check does
+        verdicts: dict = {}  # received -> (ok, rendered)
         for channel, position, received in _cases(run, word):
             count += 1
-            try:
-                decoded = decode(received)
-                ok = decoded == target
-                rendered = format_sequence(decoded, run.alphabet)
-            except DomainError as exc:
-                ok = False
-                rendered = f"error: {exc}"
+            if received not in verdicts:
+                try:
+                    decoded = decode(received)
+                    verdicts[received] = (decoded == target,
+                                          format_sequence(decoded, run.alphabet))
+                except DomainError as exc:
+                    verdicts[received] = (False, f"error: {exc}")
+            ok, rendered = verdicts[received]
             failures += 0 if ok else 1
             shown = (_format_rows(received) if run.rows_input
                      else format_sequence(received, run.alphabet))
@@ -684,14 +688,15 @@ def _cmd_capacity(args, out):
     header = ["p", "alpha_opt", "cap_composite_bits", "cap_two_level_bits"]
     if args.oracle:
         header.append("cap_oracle_bits")
-    emitter = _Emitter(args.format, out, header)
     rows = capacity_mod.sweep(ps, tol=args.tol)
-    for p, alpha, cap_bits, two_level in rows:
-        values = [p, alpha, cap_bits, two_level]
-        if args.oracle:
-            _, oracle_bits = capacity_mod.blahut_arimoto(
-                capacity_mod.channel_matrix(p))
-            values.append(oracle_bits)
+    if args.oracle:
+        # every point certified before the first row is printed
+        table = [row + (capacity_mod.blahut_arimoto(
+            capacity_mod.channel_matrix(row[0]))[1],) for row in rows]
+    else:
+        table = rows
+    emitter = _Emitter(args.format, out, header)
+    for values in table:
         emitter.row(values)
     if args.plot:
         if len(rows) < 2:

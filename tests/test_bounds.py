@@ -199,7 +199,7 @@ def test_average_ball_matches_the_closed_forms(k, texts):
         for n in range(241):
             result = average_ball(n, k, spec)
             assert result.value == _average_closed_form(n, k, spec), (n, text)
-            assert (result.kind, result.validity_range) == (AVERAGE, "n >= 1")
+            assert (result.kind, result.validity_range) == (AVERAGE, "n >= 0")
 
 
 def test_average_ball_checks_the_budget_length():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,9 @@ import pytest
 
 import composite_codec
 from composite_codec.core import DomainError
+from composite_codec import capacity
 from composite_codec.capacity import (
+    NotConvergedError,
     blahut_arimoto,
     capacity_binary_pair,
     capacity_composite,
@@ -150,3 +153,149 @@ def test_cli_import_leaves_numpy_out():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def _plain_blahut_arimoto(matrix, tol=1e-12, max_iter=100000):
+    """The unaccelerated loop, one map step per iteration, as the
+    reference: returns (lower, upper, closed), the sandwich at its last
+    iterate and whether it is narrower than tol."""
+    rows = [[float(x) for x in row] for row in matrix]
+    m = len(rows)
+    dist = [1.0 / m] * m
+    for _ in range(max_iter):
+        d = _divergences(dist, rows)
+        lower = sum(w * v for w, v in zip(dist, d))
+        upper = max(d)
+        if upper - lower < tol:
+            return lower, upper, True
+        dist = [w * 2.0 ** (v - upper) for w, v in zip(dist, d)]
+        total = sum(dist)
+        dist = [w / total for w in dist]
+    return lower, upper, False
+
+
+def _divergences(dist, rows):
+    out = [sum(w * row[j] for w, row in zip(dist, rows))
+           for j in range(len(rows[0]))]
+    return [sum(x * math.log2(x / o) for x, o in zip(row, out) if x > 0.0)
+            for row in rows]
+
+
+def _sandwich(dist, rows):
+    """lower = I(dist) <= capacity <= upper, computed here."""
+    d = _divergences(dist, rows)
+    return sum(w * v for w, v in zip(dist, d)), max(d)
+
+
+def _assert_certified(matrix, dist, bits, tol=1e-12):
+    # the returned distribution's own sandwich, recomputed with the
+    # x log2(x/o) terms of the reference loop: it closes below tol, and
+    # the returned bits are its lower end, up to float rounding
+    assert abs(sum(dist) - 1.0) < 1e-14 and min(dist) >= 0.0
+    lower, upper = _sandwich(dist, matrix)
+    assert upper - lower < tol
+    assert abs(bits - lower) < 1e-14
+
+
+@pytest.mark.parametrize("p", [i / 100 for i in range(46)])
+def test_blahut_arimoto_matches_the_plain_loop(p):
+    M = channel_matrix(p)
+    dist, bits = blahut_arimoto(M)
+    _assert_certified(M, dist, bits)
+    lower, _, closed = _plain_blahut_arimoto(M)
+    assert closed
+    # both lower ends lie within tol below the capacity; on this grid they
+    # agree to float rounding
+    assert abs(bits - lower) < 1e-15
+
+
+def _random_channel(rng):
+    inputs, outputs = rng.randint(2, 8), rng.randint(2, 16)
+    rows = []
+    for _ in range(inputs):
+        row = [0.0 if rng.random() < 0.2 else rng.random()
+               for _ in range(outputs)]
+        if not any(row):
+            row[rng.randrange(outputs)] = 1.0
+        total = sum(row)
+        rows.append([x / total for x in row])
+    return rows
+
+
+_CHANNELS = [_random_channel(random.Random(seed)) for seed in range(200)]
+
+
+def test_random_channels_match_the_plain_loop():
+    tol = 1e-12
+    closed_count = 0
+    for M in _CHANNELS:
+        dist, bits = blahut_arimoto(M, tol=tol)
+        _assert_certified(M, dist, bits, tol)
+        # any iterate of the plain loop brackets the capacity, and bits
+        # lies within tol below it; the budget keeps the slow loop short
+        lower, upper, closed = _plain_blahut_arimoto(M, tol=tol, max_iter=500)
+        assert lower - tol < bits <= upper + 1e-15
+        if closed:
+            closed_count += 1
+            assert abs(bits - lower) < tol
+    assert closed_count > 100
+
+
+def test_mutual_information_never_falls_along_the_iterates():
+    for M in _CHANNELS:
+        previous = -math.inf
+        for _, (dist, d) in zip(range(40), capacity._iterates(M)):
+            mi = sum(w * v for w, v in zip(dist, d))
+            assert mi >= previous - 1e-15
+            previous = mi
+
+
+def test_extrapolation_clamps_the_step_length():
+    # |r| < |v| gives a = -1/2: clamped to -1, which is x2 itself
+    x0, r, r1, x2 = [0.5, 0.5], [0.1, -0.1], [-0.1, 0.1], [0.5, 0.5]
+    assert capacity._extrapolate(x0, r, r1, x2) is x2
+    # a = -2 and the point lies in the simplex: the full step
+    x0, r, r1 = [0.5, 0.5], [-0.1, 0.1], [-0.05, 0.05]
+    point = capacity._extrapolate(x0, r, r1, [0.35, 0.65])
+    assert _close(point, [0.3, 0.7])
+
+
+def test_extrapolation_backs_off_into_the_open_simplex():
+    # a = -4 leaves the simplex, and so do -2.5 and -1.75; -1.375 is the
+    # first halving back towards x2 that stays inside
+    x0, r, r1 = [0.5, 0.5], [-0.2, 0.2], [-0.15, 0.15]
+    point = capacity._extrapolate(x0, r, r1, [0.15, 0.85])
+    assert _close(point, [0.04453125, 0.95546875])
+    # a = -2 and every halving after it leave the simplex: x2 itself
+    x2 = [1e-300, 1.0]
+    assert capacity._extrapolate([0.5, 0.5], [-0.2, 0.2], [-0.3, 0.3], x2) is x2
+
+
+def test_blahut_arimoto_evaluation_count(monkeypatch):
+    calls = []
+    divergences = capacity._divergences
+
+    def counted(dist, rows):
+        calls.append(1)
+        return divergences(dist, rows)
+
+    monkeypatch.setattr(capacity, "_divergences", counted)
+    blahut_arimoto(channel_matrix(0.45))
+    # the plain loop takes 75,016 map steps here
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("p", [0.49, 0.4999, 0.499999, 0.51])
+def test_blahut_arimoto_closes_near_one_half(p):
+    M = channel_matrix(p)
+    dist, bits = blahut_arimoto(M)
+    _assert_certified(M, dist, bits)
+
+
+def test_blahut_arimoto_refuses_an_uncertified_value():
+    with pytest.raises(NotConvergedError) as info:
+        blahut_arimoto(channel_matrix(0.45), max_iter=2)
+    assert isinstance(info.value, DomainError)
+    assert str(info.value).startswith(
+        "Blahut-Arimoto did not certify the capacity within max_iter=2 "
+        "iterations: its sandwich is ")

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import functools
 import inspect
 import io
 import json
@@ -113,7 +114,7 @@ def test_bounds_single_query_json():
         "kind": "valid_upper",
         "value": "121/5",
         "floor": 24,
-        "validity": "n >= 1",
+        "validity": "n >= 0",
     }
 
 
@@ -227,6 +228,35 @@ def test_verify_construction_cases_csv():
     assert len(lines) == 1 + 162
     assert all(line.endswith(",ok") for line in lines[1:])
     assert "162 cases, 0 failures" in err
+
+
+@pytest.mark.parametrize("refuse", (False, True), ids=("decodes", "refuses"))
+def test_verify_listing_decodes_each_received_word_once(monkeypatch, refuse):
+    calls = []
+    decode = deletion.vt_row_decode
+
+    def counted(y, label):
+        calls.append(y)
+        if refuse:
+            raise core.DomainError(f"refused, call {len(calls)}")
+        return decode(y, label)
+
+    monkeypatch.setattr(deletion, "vt_row_decode", counted)
+    code, out, err = run_cli("verify", "--construction", "c3", "--n", "6",
+                             "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    failures = len(rows) if refuse else 0
+    assert (code, err) == (int(refuse), f"{len(rows)} cases, {failures} failures\n")
+    verdicts: dict = {}
+    for row in rows:
+        verdicts.setdefault((row["codeword"], row["received"]), set()).add(
+            (row["decoded"], row["status"]))
+    # one decode per distinct (codeword, received) pair, and its verdict,
+    # an error text included, is repeated for every case that gives it
+    assert len(calls) == len(verdicts) < len(rows)
+    assert all(len(seen) == 1 for seen in verdicts.values())
+    assert all(row["decoded"].startswith("error: refused") == refuse
+               for row in rows)
 
 
 def test_verify_sample_is_deterministic():
@@ -408,6 +438,17 @@ def test_capacity_sweep_with_oracle():
         assert abs(float(cells[2]) - float(cells[4])) < 1e-6
 
 
+def test_capacity_oracle_refuses_an_uncertified_value(monkeypatch):
+    monkeypatch.setattr(capacity, "blahut_arimoto", functools.partial(
+        capacity.blahut_arimoto, max_iter=1))
+    # p = 0 closes its sandwich at the first iterate and p = 0.45 does not:
+    # no row is printed, the p = 0 row included
+    args = ("capacity", "--sweep", "0,0.45", "--oracle")
+    _one_error_line(args)
+    assert run_cli(*args)[2].startswith(
+        "error: Blahut-Arimoto did not certify the capacity within max_iter=1")
+
+
 def test_capacity_plot(tmp_path):
     svg = tmp_path / "curve.svg"
     code, _, _ = run_cli("capacity", "--sweep", "0.05:0.45:5", "--plot", str(svg))
@@ -579,6 +620,41 @@ def test_bounds_at_lengths_below_one_end_cleanly(n):
                         "--bound", name)
                 if name not in listed:
                     _one_error_line(args)
+
+
+def test_bounds_at_length_zero_hold_on_the_one_word_space():
+    # the empty word is the whole space: every code has one word and every
+    # substitution ball is the word itself, so each row printed at n = 0
+    # is checked here against both, and none claims n >= 1
+    for k, specs in _QUERY_SPECS.items():
+        for text in specs:
+            code, out, err = run_cli("bounds", "--n", "0", "--k", str(k),
+                                     "--spec", text, "--format", "csv")
+            assert (code, err) == (0, ""), (k, text)
+            rows = list(csv.DictReader(io.StringIO(out)))
+            spec = error_model.parse_spec(text)
+            if text.startswith("d:"):
+                # no deletion happens in an empty row
+                assert rows == [], (k, text)
+                continue
+            optimum = oracle.optimal_code_size(0, k, spec).size
+            ball = len(error_model.enumerate_ball((), k, spec))
+            assert (optimum, ball) == (1, 1)
+            for row in rows:
+                value = Fraction(row["value"])
+                assert row["validity"] != "n >= 1", (k, text, row)
+                if row["kind"] == "valid_upper":
+                    assert value >= optimum, (k, text, row)
+                elif row["kind"] == "valid_lower":
+                    assert value <= optimum, (k, text, row)
+                else:
+                    want = ball if row["bound"] == "average" else 1 / Fraction(ball)
+                    assert value == want, (k, text, row)
+            assert {row["validity"] for row in rows if row["bound"] in (
+                "gspb", "average", "aspv", "lower:coset")} <= {"n >= 0"}
+    for name in ("lower:vt", "lower:vt1", "lower:tenengolts", "lower:tenengolts1"):
+        assert run_cli("bounds", "--n", "0", "--spec", "d:(1,0)", "--bound", name)[1:] == (
+            "", "error: deletion lower bounds need n >= 1\n")
 
 
 def test_bounds_name_the_out_of_range_length():
