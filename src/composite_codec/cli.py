@@ -276,19 +276,29 @@ def _construction(args):
     return entry, _Run(entry, args)
 
 
+#: the channels a deletion spec lets lose a bit
+_SHORTENED = {em.RADIUS_10: (0,), em.RADIUS_1: (0, 1)}
+
+
 def _cases(run, codeword):
     """Yield (channel, position, received) spanning the error universe:
     received rows under a substitution spec, one deletion from the
     protected rows of a row code, one deletion from a plain word."""
-    if not _is_deletion(run.spec):
-        for rows in sorted(em.enumerate_received_rows(codeword, run.k, run.spec)):
-            yield None, None, rows
-    elif run.rows_input:
-        channels = (0,) if run.spec == em.RADIUS_10 else (0, 1)
-        yield from deletion_mod.deletion_outputs(codeword, channels)
+    if _is_deletion(run.spec) and run.rows_input:
+        yield from deletion_mod.deletion_outputs(codeword, _SHORTENED[run.spec])
     else:
-        for y in sorted(em.single_deletions(codeword)):
-            yield None, None, y
+        for received in sorted(_received(run, codeword)):
+            yield None, None, received
+
+
+def _received(run, codeword):
+    """The received words of _cases, unordered: one per case."""
+    if not _is_deletion(run.spec):
+        return em.enumerate_received_rows(codeword, run.k, run.spec)
+    if run.rows_input:
+        return [rows for _, _, rows in deletion_mod.deletion_outputs(
+            codeword, _SHORTENED[run.spec])]
+    return em.single_deletions(codeword)
 
 
 def _parse_received(run, text: str):
@@ -424,6 +434,8 @@ def _bound_value(name: str, n: int, k: int, spec):
 
 
 def _cmd_bounds(args, out):
+    if args.k < 1:
+        raise DomainError(f"resolution k must be >= 1, got {args.k}")
     if args.table:
         stream = bounds_mod.emit_bound_table(
             args.table, range(args.n_min, args.n_max + 1),
@@ -528,9 +540,7 @@ def _verify_construction(args, out):
                 f"enumerated {count} codewords but the size formula gives "
                 f"{expected}")
         report = oracle_mod.exhaustive_decode_check(
-            list(word_of),
-            lambda target: [received for _, _, received
-                            in _cases(run, word_of[target])],
+            list(word_of), lambda target: _received(run, word_of[target]),
             decode)
         emitter = _Emitter(args.format, out,
                            ("construction", "codewords", "cases", "failures", "ok"))
@@ -540,6 +550,8 @@ def _verify_construction(args, out):
 
     pairs = list(word_of.items())
     if args.sample is not None:
+        if args.sample < 0:
+            raise DomainError(f"sample size must be >= 0, got {args.sample}")
         rng = random.Random(args.seed)
         pairs = sorted(rng.sample(pairs, min(args.sample, len(pairs))),
                        key=itemgetter(1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, product, repeat
 from math import comb
 
 #: Sentinel letter marking a column that is not a valid decomposition.
@@ -100,9 +101,28 @@ def reconstruct_column(params: CompositeParams, col):
     return CompositeLetter(tuple(counts))
 
 
+@lru_cache(maxsize=None)
+def _letters(k: int) -> frozenset:
+    return frozenset(range(k + 1))
+
+
+_INT = frozenset((int,))
+
+
 def _check_q2_letters(s, k) -> None:
+    """Every letter is an int in 0..k.
+
+    The set tests pass a valid sequence in two C-level passes; anything
+    they reject (also a bool letter, which the loop accepts) is judged by
+    the loop, which names the first bad letter.
+    """
     if k < 1:
         raise DomainError(f"resolution k must be >= 1, got {k}")
+    try:
+        if _letters(k).issuperset(s) and _INT.issuperset(map(type, s)):
+            return
+    except TypeError:  # an unhashable letter
+        pass
     for x in s:
         if x == UNKNOWN:
             raise DomainError("sequence contains '?'")
@@ -123,6 +143,10 @@ def decompose_sequence(s, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+_TUPLE = frozenset((tuple,))
+_BITS = frozenset((0, 1))
+
+
 @lru_cache(maxsize=None)
 def _canonical_columns(k: int) -> dict:
     """Decomposition column (0,)*(k-t) + (1,)*t -> letter t, for t in 0..k."""
@@ -137,20 +161,23 @@ def reconstruct_rows(rows) -> tuple:
     '?'.  Unequal row lengths raise: reconstruction is undefined there, which
     is what forces deletion correction to happen first.
 
-    Each column is looked up among the k + 1 canonical columns; only a
-    column that is not canonical is checked for non-binary entries.
+    Each column is looked up among the k + 1 canonical columns.  Only an
+    entry of a column that is not canonical can be non-binary; one set
+    test over all entries looks for one, and the loop names its column.
+    A tuple of tuples is read in place, anything else is copied first.
     """
-    rows = [tuple(r) for r in rows]
+    if type(rows) is not tuple or not _TUPLE.issuperset(map(type, rows)):
+        rows = tuple(map(tuple, rows))
     if not rows:
         raise DomainError("no rows given")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
         raise DomainError(
-            f"unequal row lengths {sorted(set(len(r) for r in rows))}; "
+            f"unequal row lengths {sorted(lengths)}; "
             "reconstruction requires equal-length rows")
-    letter_of = _canonical_columns(len(rows)).get
-    out = tuple([letter_of(col, UNKNOWN) for col in zip(*rows)])
-    if UNKNOWN in out:
+    out = tuple(map(_canonical_columns(len(rows)).get, zip(*rows),
+                    repeat(UNKNOWN)))
+    if UNKNOWN in out and not _BITS.issuperset(chain.from_iterable(rows)):
         for i, col in enumerate(zip(*rows)):
             if out[i] == UNKNOWN and any(b not in (0, 1) for b in col):
                 raise DomainError(f"non-binary entry in column {i}: {list(col)}")
@@ -228,8 +255,12 @@ def ceil_log(base: int, x: int) -> int:
     return t
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"length must be >= 0, got {n}")
+
+
 def all_sequences(n: int, k: int):
     """Iterate Sigma_{k+1}^n in lexicographic order."""
-    from itertools import product
-
+    _check_length(n)
     return product(range(k + 1), repeat=n)

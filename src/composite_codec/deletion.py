@@ -20,9 +20,14 @@ the row lengths.
 
 from __future__ import annotations
 
+from itertools import count, product
+from operator import mul
+
 from composite_codec.core import (
+    _BITS,
     UNKNOWN,
     DomainError,
+    _check_length,
     all_sequences,
     ceil_log,
     decompose_sequence,
@@ -32,6 +37,13 @@ from composite_codec.substitution import DecodeFailure
 
 
 def _check_binary(x):
+    """Every entry equals 0 or 1; the set test passes a binary word in
+    one C-level pass, and the loop judges whatever it rejects."""
+    try:
+        if _BITS.issuperset(x):
+            return
+    except TypeError:  # an unhashable entry
+        pass
     if any(b not in (0, 1) for b in x):
         raise DomainError(f"not a binary word: {x!r}")
 
@@ -48,7 +60,7 @@ def delete_at(x, pos: int):
 
 def vt_syndrome(x) -> int:
     """Position-weighted bit sum, positions 1-based (not yet reduced)."""
-    return sum(i * b for i, b in enumerate(x, start=1))
+    return sum(map(mul, count(1), x))
 
 
 def vt_membership(x, label: int) -> bool:
@@ -97,7 +109,16 @@ def vt_decode(y, n: int, label: int):
 # ternary single-deletion syndromes (shared by the systematic constructions)
 
 
+_TRITS = frozenset((0, 1, 2))
+
+
 def _check_ternary(s):
+    """Every entry equals 0, 1 or 2; checked as _check_binary checks bits."""
+    try:
+        if _TRITS.issuperset(s):
+            return
+    except TypeError:  # an unhashable entry
+        pass
     if any(v not in (0, 1, 2) for v in s):
         raise DomainError(f"not a ternary word: {s!r}")
 
@@ -203,7 +224,7 @@ def message_length(n: int, overhead: int, span: int = 1,
 
 
 def _check_k2_rows(rows):
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != 2:
         raise DomainError(f"expected 2 rows, got {len(rows)}")
     for r in rows:
@@ -236,9 +257,16 @@ def vt_row_membership(s, label: int) -> bool:
 
 
 def vt_row_enumerate(n: int, label: int):
-    for s in all_sequences(n, 2):
-        if vt_membership(decompose_sequence(s, 2)[0], label):
-            yield s
+    """All codewords in lexicographic order, built from the checksum words
+    of row 0: a 1 in row 0 is the letter 2, a 0 is the letter 0 or 1."""
+    _check_length(n)
+    if not 0 <= label <= n:
+        raise DomainError(f"label {label} out of range for n={n}")
+    letters = ((0, 1), (2,))
+    words = [s for x in vt_enumerate(n, label)
+             for s in product(*[letters[b] for b in x])]
+    words.sort()
+    yield from words
 
 
 def vt_row_decode(rows, label: int):

@@ -20,8 +20,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from operator import getitem
 
 from composite_codec.core import (
     DomainError,
@@ -289,22 +290,23 @@ def enumerate_in_ball(y, k: int, spec) -> set:
 
 
 # ---------------------------------------------------------------------------
-# substitution balls: definitional enumeration
+# substitution balls: raw channel outputs
 
 
-def _flip_sets(n: int, budget: int):
-    for t in range(budget + 1):
-        yield from combinations(range(n), t)
-
-
-def _apply_flips(rows, flip_sets):
-    new_rows = []
-    for row, flips in zip(rows, flip_sets):
-        r = list(row)
-        for i in flips:
-            r[i] ^= 1
-        new_rows.append(tuple(r))
-    return new_rows
+def _shells(row, radius: int) -> list:
+    """shells[t]: the rows at Hamming distance exactly t from row, for
+    t = 0..radius (empty past the row's length)."""
+    n = len(row)
+    shells = []
+    for t in range(radius + 1):
+        shell = []
+        for flips in combinations(range(n), t):
+            r = list(row)
+            for i in flips:
+                r[i] ^= 1
+            shell.append(tuple(r))
+        shells.append(shell)
+    return shells
 
 
 def enumerate_received_rows(s, k: int, spec, max_n: int | None = None) -> set:
@@ -312,38 +314,25 @@ def enumerate_received_rows(s, k: int, spec, max_n: int | None = None) -> set:
 
     Unlike enumerate_sub_ball this keeps column-inconsistent outputs: it is
     what a decoder actually receives.  Always contains the clean rows.
-    Per-channel specs iterate position subsets of size <= e_i per channel;
-    total specs additionally iterate the budget split.
+    Each row's flip variants are built once.  Channels err independently,
+    so a per-channel spec gives the product of each row's radius-e_j ball,
+    and a total spec the union, over the splits (t_0, ..., t_{k-1}) of at
+    most e flips, of the products of the rows' distance-t_j shells; the
+    splits give disjoint sets, since t_j is row j's distance.
     """
     _check_sub_spec(k, spec)
     _check_enumeration_cap(len(s), spec, max_n)
     rows = decompose_sequence(s, k)
-    out: set = set()
     if isinstance(spec, PerChannel):
-        _raw_per_channel(rows, list(spec.budgets), 0, [], out)
-    else:
-        _raw_total(rows, k, spec.errors, 0, [], out)
+        balls = [[r for shell in _shells(row, e) for r in shell]
+                 for row, e in zip(rows, spec.budgets)]
+        return set(product(*balls))
+    shells = [_shells(row, spec.errors) for row in rows]
+    out: set = set()
+    for split in product(range(spec.errors + 1), repeat=k):
+        if sum(split) <= spec.errors:
+            out.update(product(*map(getitem, shells, split)))
     return out
-
-
-def _raw_per_channel(rows, budgets, channel, chosen, out):
-    if channel == len(rows):
-        out.add(tuple(_apply_flips(rows, chosen)))
-        return
-    for flips in _flip_sets(len(rows[0]), budgets[channel]):
-        chosen.append(flips)
-        _raw_per_channel(rows, budgets, channel + 1, chosen, out)
-        chosen.pop()
-
-
-def _raw_total(rows, k, remaining, channel, chosen, out):
-    if channel == k:
-        out.add(tuple(_apply_flips(rows, chosen)))
-        return
-    for flips in _flip_sets(len(rows[0]), remaining):
-        chosen.append(flips)
-        _raw_total(rows, k, remaining - len(flips), channel + 1, chosen, out)
-        chosen.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from composite_codec.core import all_sequences
 from composite_codec.error_model import SizeLimitError, _cap, enumerate_ball
@@ -65,6 +66,21 @@ def _bits(mask: int) -> list:
     return out
 
 
+def _induced(adj: list, order: list) -> list:
+    """Adjacency masks of the subgraph on the vertices listed in order,
+    vertex order[r] renumbered r.
+
+    Each mask is permuted as a bit string, by one itemgetter over its
+    digits, so the cost does not grow with the vertex degrees.
+    """
+    if not order:
+        return []
+    width = len(adj)
+    pick = itemgetter(*order)
+    return [int("".join(pick(bin(adj[v])[:1:-1].ljust(width, "0")))[::-1], 2)
+            for v in order]
+
+
 def _clique_order(n_vertices: int, adj: list) -> list:
     """Vertices listed greedy-clique by greedy-clique.
 
@@ -102,44 +118,46 @@ class _MisSolver:
         for r, v in enumerate(order):
             pos[v] = r
         self.order = order
-        self.adj = radj = [0] * n_vertices
-        for v in range(n_vertices):
-            radj[pos[v]] = sum(1 << pos[u] for u in _bits(adj[v]))
+        self.adj = _induced(adj, order)
         self.c = [0] * (n_vertices + 1)
         self.best = 0
-        self._found = False
         self._solve()
 
-    def _expand(self, cand: int, size: int):
-        if not cand:
-            if size > self.best:
-                self.best = size
-                self._found = True
-            return
+    def _expand(self, cand: int, size: int) -> bool:
+        """Look in cand for vertices that, added to the size chosen ones,
+        beat the running optimum; stop at the first such set and say
+        whether one was found.
+
+        A branch is pruned before its call when its candidates cannot
+        give the vertices it needs, by count or by the c[] table.
+        """
+        need = self.best - size  # cand has to give more than this
+        if need < 0:
+            self.best = size
+            return True
         adj, c = self.adj, self.c
-        while cand:
-            if size + cand.bit_count() <= self.best:
-                return
-            i = (cand & -cand).bit_length() - 1
-            if size + c[i] <= self.best:
-                return
-            cand &= cand - 1
+        count = cand.bit_count()
+        while count > need:
+            low = cand & -cand
+            i = low.bit_length() - 1
+            if c[i] <= need:
+                return False
+            if not need:
+                self.best = size + 1
+                return True
+            cand ^= low
+            count -= 1
             rest = cand & ~adj[i]
-            if not rest:
-                if size + 1 > self.best:
-                    self.best = size + 1
-                    self._found = True
-                    return
-            else:
-                self._expand(rest, size + 1)
-                if self._found:
-                    return
+            if (rest.bit_count() >= need
+                    and c[(rest & -rest).bit_length() - 1] >= need
+                    and self._expand(rest, size + 1)):
+                return True
+        return False
 
     def _solve(self):
         suffix = 0
         for i in range(self.n - 1, -1, -1):
             suffix |= 1 << i
-            self._found = False
             self._expand(suffix & ~self.adj[i] & ~(1 << i), 1)
             self.c[i] = self.best
 
@@ -213,9 +231,7 @@ def _max_independent_set(n_vertices: int, adj: list) -> list:
     try:
         for comp in _components(n_vertices, adj):
             vertices = _bits(comp)
-            local = {v: i for i, v in enumerate(vertices)}
-            sub_adj = [sum(1 << local[u] for u in _bits(adj[v])) for v in vertices]
-            solver = _MisSolver(len(vertices), sub_adj)
+            solver = _MisSolver(len(vertices), _induced(adj, vertices))
             chosen += (vertices[i] for i in solver.lex_smallest_witness())
     finally:
         sys.setrecursionlimit(limit)
@@ -299,17 +315,21 @@ def exhaustive_decode_check(codewords, outputs_fn, decode_fn) -> DecodeCheckRepo
     failures = []
     cases = 0
     for c in codewords:
-        wrong: dict = {}  # output -> () if it decodes to c, else (what it gave,)
+        wrong: dict = {}  # output -> None if it decodes to c, else (what it gave,)
         for y in outputs_fn(c):
             cases += 1
-            if y not in wrong:
+            if y in wrong:
+                got = wrong[y]
+            else:
                 try:
                     got = decode_fn(y)
                 except Exception as exc:  # decoder crash is also a failure
-                    wrong[y] = (f"raised {type(exc).__name__}: {exc}",)
+                    got = (f"raised {type(exc).__name__}: {exc}",)
                 else:
-                    wrong[y] = (got,) if got != c else ()
-            failures.extend((c, y, got) for got in wrong[y])
+                    got = None if got == c else (got,)
+                wrong[y] = got
+            if got is not None:
+                failures.append((c, y, got[0]))
     return DecodeCheckReport(cases, tuple(failures))
 
 

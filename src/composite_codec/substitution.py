@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from composite_codec.core import (
     UNKNOWN,
     DomainError,
+    _check_length,
     all_sequences,
     ceil_log,
     decompose_sequence,
@@ -210,12 +212,24 @@ def product_membership(s, k: int, row_codes) -> bool:
 
 
 def product_enumerate(n: int, k: int, row_codes):
-    """All codewords, by filtering the composite space."""
+    """All codewords in lexicographic order, built from the row codes'
+    codewords.
+
+    Row j of a sequence has its ones among those of row j + 1, and every
+    such nested tuple of rows is the decomposition of one sequence, whose
+    letters are the column sums.  Rows are held as bitmasks while they are
+    matched.
+    """
+    _check_length(n)
     _check_row_codes(k, row_codes, n)
-    for s in all_sequences(n, k):
-        rows = decompose_sequence(s, k)
-        if all(code.member(row) for code, row in zip(row_codes, rows)):
-            yield s
+    layer = [(0, (0,) * n)]  # (bitmask of the last row, column sums so far)
+    for code in row_codes:
+        rows = [(sum(b << i for i, b in enumerate(w)), w) for w in code.codewords()]
+        layer = [(mask, tuple(map(add, sums, w)))
+                 for low, sums in layer
+                 for mask, w in rows if mask & low == low]
+    words = sorted(sums for _, sums in layer)
+    yield from words
 
 
 def product_decode(rows, k: int, row_codes):
@@ -225,7 +239,7 @@ def product_decode(rows, k: int, row_codes):
     or reporting an inconsistent column if row decoding does not yield a
     composite sequence.
     """
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
     _check_row_codes(k, row_codes, len(rows[0]) if rows else 0)
@@ -320,7 +334,7 @@ def fiber_decode(rows, k: int, inners):
     """
     if k < 2:
         raise DomainError("the fiber construction needs k >= 2")
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
     _check_inners(inners, len(rows[0]) if rows else 0)
@@ -403,7 +417,7 @@ def checksum_decode(rows, k: int, label: int = 0):
     candidate levels); a silent error shifts one level by +-1 and the
     checksum residue reveals position and direction.
     """
-    rows = tuple(tuple(r) for r in rows)
+    rows = tuple(map(tuple, rows))
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
     n = len(rows[0]) if rows else 0

@@ -778,3 +778,70 @@ def test_dispatch_matches_parser_subcommands():
     for name in cli.DISPATCH:
         code, _, _ = run_cli(name, "--help")
         assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--construction", "c2", "--n", "-1"),
+    ("verify", "--construction", "lee", "--n", "-1"),
+    ("verify", "--construction", "c3", "--n", "-1"),
+    ("verify", "--construction", "c5", "--n", "-1"),
+    ("verify", "--construction", "vt", "--n", "-1"),
+    ("verify", "--construction", "c1", "--n", "-1"),
+    ("verify", "--construction", "c3", "--n", "-1", "--summary"),
+    ("verify", "--construction", "c4", "--m", "-1"),
+    ("verify", "--construction", "c6", "--m", "-1"),
+    ("verify", "--construction", "ternary", "--m", "-1", "--summary"),
+    ("search-optimal", "--n", "-1", "--spec", "(1,0)"),
+    ("verify", "--construction", "c3", "--n", "4", "--sample", "-3"),
+])
+def test_negative_lengths_and_samples_are_one_error_line(args):
+    _one_error_line(args)
+
+
+def test_verify_names_a_negative_length_and_sample():
+    assert run_cli("verify", "--construction", "c3", "--n", "-2")[2] == \
+        "error: length must be >= 0, got -2\n"
+    assert run_cli("verify", "--construction", "c6", "--m", "-1")[2] == \
+        "error: length must be >= 0, got -1\n"
+    assert run_cli("verify", "--construction", "c3", "--n", "4", "--sample", "-3")[2] == \
+        "error: sample size must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("--n", "3", "--k", "-2", "--spec", "t:1"),
+    ("--n", "3", "--k", "-1", "--spec", "t:1"),
+    ("--n", "3", "--k", "0", "--spec", "t:1"),
+    ("--n", "3", "--k", "0", "--spec", "t:1", "--bound", "gspb"),
+    ("--table", "table2", "--k", "0"),
+    ("--table", "table4", "--k", "-1", "--format", "csv"),
+])
+def test_bounds_reject_a_resolution_below_one_before_printing(args):
+    assert run_cli("bounds", *args) == (
+        1, "", f"error: resolution k must be >= 1, got {args[args.index('--k') + 1]}\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("c1", "--k", "3", "--n", "3", "--spec", "(1,0,1)"),
+    ("c1", "--k", "2", "--n", "4", "--spec", "(0,1)", "--label", "2"),
+    ("lee", "--k", "3", "--n", "3"),
+    ("c3", "--n", "5", "--label", "2"),
+    ("c5", "--n", "3"),
+    ("vt", "--n", "6"),
+    ("ternary", "--m", "2"),
+])
+def test_verify_lists_codewords_and_cases_in_order(args):
+    code, out, _ = run_cli("verify", "--construction", *args, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    listed = [row["codeword"] for row in rows]
+    distinct = list(dict.fromkeys(listed))
+    if args[0] == "ternary":
+        distinct = [word[:2] for word in distinct]  # the messages
+    assert distinct == sorted(distinct) and len(distinct) > 1
+    for word in dict.fromkeys(listed):
+        cases = [row for row in rows if row["codeword"] == word]
+        if cases[0]["channel"]:  # row-code deletions: by channel, then position
+            keys = [(int(r["channel"]), int(r["position"])) for r in cases]
+        else:  # by received word
+            keys = [tuple(r["received"].split("/")) for r in cases]
+        assert keys == sorted(keys), word

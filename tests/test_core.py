@@ -9,6 +9,7 @@ from composite_codec.core import (
     CompositeLetter,
     CompositeParams,
     DomainError,
+    _check_q2_letters,
     all_sequences,
     decompose_letter,
     decompose_sequence,
@@ -238,3 +239,76 @@ def test_decompose_sequence_rejects_resolution_below_one():
         decompose_sequence((0, 0, 0), 0)
     with pytest.raises(DomainError):
         decompose_sequence((), -1)
+
+
+def _letters_checked(check, s, k):
+    """The outcome of check(s, k) as ("ok",) or ("raised", text); check
+    None runs the plain per-letter loop the set tests stand in for."""
+    try:
+        if check is None:
+            if k < 1:
+                raise DomainError(f"resolution k must be >= 1, got {k}")
+            for x in s:
+                if x == UNKNOWN:
+                    raise DomainError("sequence contains '?'")
+                if not isinstance(x, int) or not 0 <= x <= k:
+                    raise DomainError(f"letter {x!r} outside Sigma_{k + 1}")
+        else:
+            check(s, k)
+    except DomainError as exc:
+        return ("raised", str(exc))
+    return ("ok",)
+
+
+def test_letter_check_matches_the_plain_loop():
+    words = [(), (0, 1, 2), (1.0,), (0, 1.0), (1, 1.0), (True, 2), (False,),
+             (UNKNOWN,), (0, UNKNOWN, 5), (5, UNKNOWN), ("1",), ([1],), (0, [1]),
+             (None,), (-1,), (3,), (2.5,), (0, 2, 1, 0), [0, 1], range(3),
+             (float("nan"),)]
+    words += list(product(range(-1, 5), repeat=2))
+    for k in (-1, 0, 1, 2, 3, 2.0):
+        for s in words:
+            assert _letters_checked(_check_q2_letters, s, k) == \
+                _letters_checked(None, s, k), (s, k)
+    with pytest.raises(DomainError, match=r"letter 1\.0 outside Sigma_3"):
+        _check_q2_letters((0, 1.0), 2)
+
+
+def _reconstruct_copying(rows):
+    """reconstruct_rows as it read before the in-place path: every row
+    copied, then each column looked up."""
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        raise DomainError("no rows given")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DomainError(
+            f"unequal row lengths {sorted(set(len(r) for r in rows))}; "
+            "reconstruction requires equal-length rows")
+    letter_of = {(0,) * (len(rows) - t) + (1,) * t: t for t in range(len(rows) + 1)}.get
+    out = tuple([letter_of(col, UNKNOWN) for col in zip(*rows)])
+    if UNKNOWN in out:
+        for i, col in enumerate(zip(*rows)):
+            if out[i] == UNKNOWN and any(b not in (0, 1) for b in col):
+                raise DomainError(f"non-binary entry in column {i}: {list(col)}")
+    return out
+
+
+def test_reconstruct_rows_reads_any_row_container():
+    cases = [((0, 1), (1, 1)), [[0, 1], [1, 1]], ([0, 1], (1, 0)), ((True, 1), (1, 1.0)),
+             ((0, 1), [1, 2]), ("01", "11"), ("01", "1"), [], [[]], [[], []],
+             ((0,), (1,), (1,)), [(0, 0), (1,)], ((0, 1.5), (1, 1))]
+    for rows in cases:
+        got = _outcome(reconstruct_rows, rows)
+        want = _outcome(_reconstruct_copying, rows)
+        assert got == want, rows
+        if got[:1] != ("raised",):
+            assert [type(x) for x in got] == [type(x) for x in want], rows
+    # generators of rows and of bits are copied before they are read
+    rows = (iter(r) for r in ((0, 0, 1), (0, 1, 1)))
+    assert reconstruct_rows(rows) == (0, 1, 2)
+
+
+def test_all_sequences_rejects_a_negative_length():
+    with pytest.raises(DomainError, match="length must be >= 0, got -1"):
+        all_sequences(-1, 2)

@@ -6,6 +6,8 @@ import pytest
 
 from composite_codec.core import DomainError, all_sequences, decompose_sequence
 from composite_codec.deletion import (
+    _check_binary,
+    _check_ternary,
     ascent_syndrome,
     delete_at,
     deletion_outputs,
@@ -228,3 +230,53 @@ def test_marker_decoders_fail_loudly_on_garbage():
     with pytest.raises((DecodeFailure, DomainError)):
         # both rows shortened: outside the single-deletion model
         marker_row_decode((rows[0][:-1], rows[1][:-1]))
+
+
+def _row_filter(n, label):
+    """Codewords of c3 by filtering the composite space on row 0."""
+    return [s for s in all_sequences(n, 2)
+            if vt_membership(decompose_sequence(s, 2)[0], label)]
+
+
+def test_vt_row_enumerate_matches_the_space_filter():
+    for n in range(9):
+        for label in range(n + 1):
+            assert list(vt_row_enumerate(n, label)) == _row_filter(n, label), (n, label)
+
+
+def test_vt_row_enumerate_rejects_what_the_filter_rejected():
+    for n, label in ((3, 4), (3, -1), (0, 1)):
+        with pytest.raises(DomainError) as fast:
+            list(vt_row_enumerate(n, label))
+        with pytest.raises(DomainError) as slow:
+            _row_filter(n, label)
+        assert str(fast.value) == str(slow.value) == f"label {label} out of range for n={n}"
+    with pytest.raises(DomainError, match="length must be >= 0, got -1"):
+        list(vt_row_enumerate(-1, 0))
+
+
+def _entries_checked(check, symbols, word):
+    """The outcome of check, or of the plain loop the set test stands in
+    for, as ("ok",) or ("raised", text)."""
+    try:
+        if check is None:
+            if any(v not in symbols for v in word):
+                raise DomainError(
+                    f"not a {'binary' if len(symbols) == 2 else 'ternary'} word: {word!r}")
+        else:
+            check(word)
+    except DomainError as exc:
+        return ("raised", str(exc))
+    return ("ok",)
+
+
+@pytest.mark.parametrize("check, symbols", [(_check_binary, (0, 1)),
+                                            (_check_ternary, (0, 1, 2))])
+def test_symbol_checks_match_the_plain_loop(check, symbols):
+    words = [(), (0,), (1, 0, 1), (2, 1, 0), (0, 3), (1.0, 0), (True, False),
+             (0, 2.0), ("0", 1), (None,), (-1,), (0, [1]), [0, 1], (0, {}),
+             (1, 0.5), (float("nan"),)]
+    words += list(product(range(-1, 4), repeat=2))
+    for word in words:
+        assert _entries_checked(check, symbols, word) == \
+            _entries_checked(None, symbols, word), word

@@ -1,7 +1,7 @@
 """Tests for error specifications, ball sizes and counting helpers."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -147,6 +147,42 @@ def test_letter_ball_equals_folded_received_rows(k, max_n, specs):
                 ball = enumerate_sub_ball(s, k, spec)
                 assert ball == _folded_ball(s, k, spec), (s, text)
                 assert sub_ball_size(s, k, spec) == len(ball), (s, text)
+
+
+def _received_rows_recursive(s, k, spec):
+    """Every raw row tuple, one flip set per channel at a time: position
+    subsets of size <= e_j per channel, or a split of the total budget."""
+    rows = decompose_sequence(s, k)
+    budgets = spec.budgets if isinstance(spec, PerChannel) else None
+    out = set()
+
+    def place(channel, remaining, chosen):
+        if channel == k:
+            flipped = []
+            for row, flips in zip(rows, chosen):
+                r = list(row)
+                for i in flips:
+                    r[i] ^= 1
+                flipped.append(tuple(r))
+            out.add(tuple(flipped))
+            return
+        budget = budgets[channel] if budgets else remaining
+        for t in range(budget + 1):
+            for flips in combinations(range(len(s)), t):
+                place(channel + 1, remaining - t, chosen + [flips])
+
+    place(0, 0 if budgets else spec.errors, [])
+    return out
+
+
+@pytest.mark.parametrize("k, max_n, specs", FOLD_GRID + SMALL_GRID)
+def test_received_rows_product_equals_the_recursion(k, max_n, specs):
+    for text in specs:
+        spec = parse_spec(text)
+        for n in range(max_n + 1):
+            for s in all_sequences(n, k):
+                got = enumerate_received_rows(s, k, spec)
+                assert got == _received_rows_recursive(s, k, spec), (s, text)
 
 
 @pytest.mark.parametrize("k, n, text", [

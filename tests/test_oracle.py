@@ -340,11 +340,96 @@ def test_component_split_matches_brute_force(seed):
         assert _max_independent_set(n_vertices, adj) == _brute_force_mis(n_vertices, adj)
 
 
+# digest of the whole-graph search's suffix-optimum table c[], as the plain
+# search loop (_PlainSolver below) computes it
+C_TABLE_DIGESTS = {
+    (4, 2, "(1,0)"): "dce6f6dcbe2b366c",
+    (4, 2, "(0,1)"): "c044ba3bd02eeb50",
+    (4, 2, "(1,1)"): "d766ca2070585341",
+    (4, 2, "(2,0)"): "50fe85768050c30e",
+    (4, 2, "(0,2)"): "c8ab470dec653c6a",
+    (4, 2, "(2,1)"): "40e20912dfe69992",
+    (4, 2, "(1,2)"): "7e7faabe7014bd8d",
+    (4, 2, "(2,2)"): "f01349f714b05756",
+    (4, 2, "t:1"): "fb47d51658229392",
+    (4, 2, "t:2"): "c5421cdbb7acaa7d",
+    (4, 2, "t:3"): "2c6fe1225d440800",
+    (4, 2, "d:(1,0)"): "034646f4c62c6b34",
+    (4, 2, "d:1"): "52ac221f31697398",
+    (5, 2, "(1,1)"): "8f1b0c4886bc1b84",
+    (5, 2, "t:2"): "4cf1390209a8db9e",
+    (4, 3, "(1,0,0)"): "ad6c8b84d473c81c",
+    (4, 3, "(1,1,0)"): "2817fe721c8c7aa8",
+    (4, 3, "t:2"): "d85996518826ff0d",
+    (3, 4, "t:1"): "80c5701700b772bd",
+}
+
+
+def _c_digest(c):
+    return hashlib.sha256(",".join(map(str, c)).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("n, k, text, size, digest", WITNESS_GOLDENS)
 def test_component_split_matches_the_whole_graph_search(n, k, text, size, digest):
     spec = parse_spec(text)
     space = list(all_sequences(n, k))
     adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
-    whole = _MisSolver(len(space), adj).lex_smallest_witness()
+    solver = _MisSolver(len(space), adj)
+    whole = solver.lex_smallest_witness()
     assert len(whole) == size
+    assert _c_digest(solver.c) == C_TABLE_DIGESTS[n, k, text]
     assert _max_independent_set(len(space), adj) == whole
+
+
+class _PlainSolver(_MisSolver):
+    """The search with its plain loop: every branch is entered and prunes
+    itself on its first check."""
+
+    def _expand(self, cand, size):
+        if not cand:
+            if size > self.best:
+                self.best = size
+                self._found = True
+            return
+        adj, c = self.adj, self.c
+        while cand:
+            if size + cand.bit_count() <= self.best:
+                return
+            i = (cand & -cand).bit_length() - 1
+            if size + c[i] <= self.best:
+                return
+            cand &= cand - 1
+            rest = cand & ~adj[i]
+            if not rest:
+                if size + 1 > self.best:
+                    self.best = size + 1
+                    self._found = True
+                    return
+            else:
+                self._expand(rest, size + 1)
+                if self._found:
+                    return
+
+    def _solve(self):
+        suffix = 0
+        for i in range(self.n - 1, -1, -1):
+            suffix |= 1 << i
+            self._found = False
+            self._expand(suffix & ~self.adj[i] & ~(1 << i), 1)
+            self.c[i] = self.best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_keeps_the_plain_loop_table_and_witness(seed):
+    rng = random.Random(seed)
+    graphs = [_random_graph(rng) for _ in range(25)]
+    for n, k, text in ((3, 2, "t:1"), (3, 3, "(1,1,0)"), (4, 2, "d:1"),
+                       (3, 3, "t:2"))[seed:seed + 1]:
+        space = list(all_sequences(n, k))
+        spec = parse_spec(text)
+        graphs.append((len(space),
+                       conflict_graph(enumerate_ball(s, k, spec) for s in space)))
+    for n_vertices, adj in graphs:
+        fast, plain = _MisSolver(n_vertices, adj), _PlainSolver(n_vertices, adj)
+        assert fast.c == plain.c
+        assert fast.lex_smallest_witness() == plain.lex_smallest_witness()

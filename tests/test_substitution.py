@@ -1,5 +1,9 @@
 """Tests for the substitution-correcting code constructions."""
 
+import functools
+import itertools
+import random
+
 import pytest
 
 from composite_codec.core import (
@@ -114,6 +118,54 @@ def test_product_with_trivial_rows_is_whole_space():
     triv = TrivialCode(3)
     words = set(product_enumerate(3, 2, (triv, triv)))
     assert words == set(all_sequences(3, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _decomposed_space(n, k):
+    return [(s, decompose_sequence(s, k)) for s in all_sequences(n, k)]
+
+
+def _filtered_product(n, k, row_codes):
+    """Codewords by filtering the composite space on row membership."""
+    members = [{w for w in all_sequences(n, 1) if code.member(w)}
+               for code in row_codes]
+    return [s for s, rows in _decomposed_space(n, k)
+            if all(row in words for words, row in zip(members, rows))]
+
+
+@pytest.mark.parametrize("k, max_n", [(2, 6), (3, 6), (4, 5)])
+def test_product_enumerate_matches_the_space_filter(k, max_n):
+    # every budget vector of 0s and 1s, with every coset label on the
+    # protected rows, as construction c1 builds its row codes
+    for n in range(max_n + 1):
+        labels = range(2 ** HammingCosetCode(n).bits)
+        for budgets in itertools.product((0, 1), repeat=k):
+            for label in labels if any(budgets) else (0,):
+                codes = tuple(HammingCosetCode(n, label) if b else TrivialCode(n)
+                              for b in budgets)
+                assert list(product_enumerate(n, k, codes)) == \
+                    _filtered_product(n, k, codes), (n, budgets, label)
+
+
+def test_product_enumerate_takes_any_row_codes():
+    # distinct cosets and explicit codebooks per row
+    rng = random.Random(3)
+    for k, n in ((2, 5), (3, 4), (4, 3)):
+        for _ in range(6):
+            codes = []
+            for _ in range(k):
+                words = rng.sample(list(all_sequences(n, 1)), rng.randint(1, 2 ** n))
+                codes.append(rng.choice((
+                    ExplicitCode(n, words),
+                    HammingCosetCode(n, rng.randrange(2 ** HammingCosetCode(n).bits)),
+                    TrivialCode(n))))
+            assert list(product_enumerate(n, k, codes)) == \
+                _filtered_product(n, k, codes), (n, k)
+
+
+def test_product_enumerate_rejects_a_negative_length():
+    with pytest.raises(DomainError, match="length must be >= 0, got -1"):
+        list(product_enumerate(-1, 2, ()))
 
 
 def test_fiber_value_and_map_golden():
