@@ -101,28 +101,22 @@ def reconstruct_column(params: CompositeParams, col):
     return CompositeLetter(tuple(counts))
 
 
-@lru_cache(maxsize=None)
-def _letters(k: int) -> frozenset:
-    return frozenset(range(k + 1))
-
-
 _INT = frozenset((int,))
 
 
 def _check_q2_letters(s, k) -> None:
     """Every letter is an int in 0..k.
 
-    The set tests pass a valid sequence in two C-level passes; anything
-    they reject (also a bool letter, which the loop accepts) is judged by
-    the loop, which names the first bad letter.
+    A valid sequence passes a type test and a min/max range test, both
+    C-level passes whose cost does not depend on k; anything they reject
+    (also a bool letter, which the loop accepts) is judged by the loop,
+    which names the first bad letter.
     """
     if k < 1:
         raise DomainError(f"resolution k must be >= 1, got {k}")
-    try:
-        if _letters(k).issuperset(s) and _INT.issuperset(map(type, s)):
-            return
-    except TypeError:  # an unhashable letter
-        pass
+    if (_INT.issuperset(map(type, s))
+            and 0 <= min(s, default=0) and max(s, default=0) <= k):
+        return
     for x in s:
         if x == UNKNOWN:
             raise DomainError("sequence contains '?'")

@@ -20,8 +20,7 @@ the row lengths.
 
 from __future__ import annotations
 
-from itertools import count, product
-from operator import mul
+from itertools import product
 
 from composite_codec.core import (
     _BITS,
@@ -37,15 +36,13 @@ from composite_codec.substitution import DecodeFailure
 
 
 def _check_binary(x):
-    """Every entry equals 0 or 1; the set test passes a binary word in
-    one C-level pass, and the loop judges whatever it rejects."""
+    """Every entry equals 0 or 1, tested in one C-level pass."""
     try:
         if _BITS.issuperset(x):
             return
     except TypeError:  # an unhashable entry
         pass
-    if any(b not in (0, 1) for b in x):
-        raise DomainError(f"not a binary word: {x!r}")
+    raise DomainError(f"not a binary word: {x!r}")
 
 
 def delete_at(x, pos: int):
@@ -60,7 +57,7 @@ def delete_at(x, pos: int):
 
 def vt_syndrome(x) -> int:
     """Position-weighted bit sum, positions 1-based (not yet reduced)."""
-    return sum(map(mul, count(1), x))
+    return sum(i * b for i, b in enumerate(x, start=1))
 
 
 def vt_membership(x, label: int) -> bool:
@@ -109,16 +106,7 @@ def vt_decode(y, n: int, label: int):
 # ternary single-deletion syndromes (shared by the systematic constructions)
 
 
-_TRITS = frozenset((0, 1, 2))
-
-
 def _check_ternary(s):
-    """Every entry equals 0, 1 or 2; checked as _check_binary checks bits."""
-    try:
-        if _TRITS.issuperset(s):
-            return
-    except TypeError:  # an unhashable entry
-        pass
     if any(v not in (0, 1, 2) for v in s):
         raise DomainError(f"not a ternary word: {s!r}")
 
@@ -224,7 +212,7 @@ def message_length(n: int, overhead: int, span: int = 1,
 
 
 def _check_k2_rows(rows):
-    rows = tuple(map(tuple, rows))
+    rows = tuple(tuple(r) for r in rows)
     if len(rows) != 2:
         raise DomainError(f"expected 2 rows, got {len(rows)}")
     for r in rows:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from composite_codec.core import all_sequences
 from composite_codec.error_model import SizeLimitError, _cap, enumerate_ball
@@ -68,17 +67,10 @@ def _bits(mask: int) -> list:
 
 def _induced(adj: list, order: list) -> list:
     """Adjacency masks of the subgraph on the vertices listed in order,
-    vertex order[r] renumbered r.
-
-    Each mask is permuted as a bit string, by one itemgetter over its
-    digits, so the cost does not grow with the vertex degrees.
-    """
-    if not order:
-        return []
-    width = len(adj)
-    pick = itemgetter(*order)
-    return [int("".join(pick(bin(adj[v])[:1:-1].ljust(width, "0")))[::-1], 2)
-            for v in order]
+    vertex order[r] renumbered r; order must hold every neighbour of the
+    vertices it lists."""
+    pos = {v: r for r, v in enumerate(order)}
+    return [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
 
 
 def _clique_order(n_vertices: int, adj: list) -> list:

@@ -239,7 +239,7 @@ def product_decode(rows, k: int, row_codes):
     or reporting an inconsistent column if row decoding does not yield a
     composite sequence.
     """
-    rows = tuple(map(tuple, rows))
+    rows = tuple(tuple(r) for r in rows)
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
     _check_row_codes(k, row_codes, len(rows[0]) if rows else 0)
@@ -334,7 +334,7 @@ def fiber_decode(rows, k: int, inners):
     """
     if k < 2:
         raise DomainError("the fiber construction needs k >= 2")
-    rows = tuple(map(tuple, rows))
+    rows = tuple(tuple(r) for r in rows)
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
     _check_inners(inners, len(rows[0]) if rows else 0)
@@ -417,7 +417,7 @@ def checksum_decode(rows, k: int, label: int = 0):
     candidate levels); a silent error shifts one level by +-1 and the
     checksum residue reveals position and direction.
     """
-    rows = tuple(map(tuple, rows))
+    rows = tuple(tuple(r) for r in rows)
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
     n = len(rows[0]) if rows else 0

@@ -274,6 +274,15 @@ def test_letter_check_matches_the_plain_loop():
         _check_q2_letters((0, 1.0), 2)
 
 
+def test_letter_check_takes_a_large_resolution():
+    k = 10**9
+    _check_q2_letters((0, 5, k), k)
+    assert transform_reverse((5,), k) == (k - 5,)
+    assert transform_shift((k,), k, 1) == (0,)
+    with pytest.raises(DomainError, match=f"letter {k + 1} outside"):
+        _check_q2_letters((0, k + 1), k)
+
+
 def _reconstruct_copying(rows):
     """reconstruct_rows as it read before the in-place path: every row
     copied, then each column looked up."""
