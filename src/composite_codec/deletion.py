@@ -84,6 +84,11 @@ def vt_decode(y, n: int, label: int):
     _check_binary(y)
     if len(y) != n - 1:
         raise DomainError(f"expected length {n - 1}, got {len(y)}")
+    return _vt_reinsert(y, n, label)
+
+
+def _vt_reinsert(y: tuple, n: int, label: int):
+    """vt_decode of a binary tuple y that is known to have length n - 1."""
     if not 0 <= label <= n:
         raise DomainError(f"label {label} out of range for n={n}")
     w = sum(y)
@@ -265,7 +270,7 @@ def vt_row_decode(rows, label: int):
     if len(y0) != n - 1:
         raise DomainError(
             f"row 0 must be one bit short of row 1 ({len(y0)} vs {n})")
-    return _reconstruct_or_fail((vt_decode(y0, n, label), y1))
+    return _reconstruct_or_fail((_vt_reinsert(y0, n, label), y1))
 
 
 # -- either-channel deletion, membership-defined
@@ -296,7 +301,7 @@ def vt_pair_decode(rows, label: int):
         n = len(y1)
     else:
         raise DomainError("exactly one row must be one bit short")
-    x = vt_decode(y0 + y1, 2 * n, label)
+    x = _vt_reinsert(y0 + y1, 2 * n, label)
     return _reconstruct_or_fail((x[:n], x[n:]))
 
 
