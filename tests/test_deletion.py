@@ -142,6 +142,19 @@ def test_vt_pair_code_corrects_either_row_deletion():
             assert report.ok, report.failures[:3]
 
 
+@pytest.mark.parametrize("decode, rows, label, text", [
+    (vt_row_decode, ((0, 1), (0, 1, 1)), 4, "label 4 out of range for n=3"),
+    (vt_row_decode, ((0, 1), (0, 1, 1)), -1, "label -1 out of range for n=3"),
+    (vt_row_decode, ((0, 2), (0, 1, 1)), 0, "not a binary word: (0, 2)"),
+    (vt_pair_decode, ((0, 1, 1), (0, 1)), 7, "label 7 out of range for n=6"),
+    (vt_pair_decode, ((0, 1), (1.5, 1, 1)), 0, "not a binary word: (1.5, 1, 1)"),
+])
+def test_row_decoders_reject_bad_labels_and_rows(decode, rows, label, text):
+    with pytest.raises(DomainError) as exc:
+        decode(rows, label)
+    assert str(exc.value) == text
+
+
 def test_vt_row_labels_partition():
     for n in (3, 4):
         total = sum(len(list(vt_row_enumerate(n, lab))) for lab in range(n + 1))
