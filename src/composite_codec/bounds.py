@@ -89,6 +89,11 @@ def _check_length(n: int) -> None:
         raise DomainError(f"length n={n} is negative")
 
 
+def _check_resolution(k: int) -> None:
+    if k < 1:
+        raise DomainError(f"resolution k must be >= 1, got {k}")
+
+
 # ---------------------------------------------------------------------------
 # upper bounds
 
@@ -195,6 +200,7 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
     k = 2 and n >= 4; total-2 for k = 2 and n >= 48; deletion radius (1,0)
     (also the radius-1 column of the published table) for k = 2 and n >= 2.
     """
+    _check_resolution(k)
     _check_length(n)
     if spec in (RADIUS_10, RADIUS_1):
         if k != 2:
@@ -242,6 +248,7 @@ def gspb_weight_rule(n: int, k: int, spec):
     exactly.  Outputs are valid sequences for substitution specs and
     (deleted row 0, row 1) pairs for the first-channel deletion spec.
     """
+    _check_resolution(k)
     _check_length(n)
     if spec == RADIUS_10:
         def weight(output):
@@ -287,16 +294,15 @@ def gspb_weight_rule(n: int, k: int, spec):
 
 def average_ball(n: int, k: int, spec) -> BoundResult:
     """Average ball size over the whole space (exact rational)."""
-    if spec in (RADIUS_10, RADIUS_1) and n < 1:
-        raise ValidityRangeError("deletion averages need n >= 1")
-    if spec == RADIUS_10:
+    _check_resolution(k)
+    if spec in (RADIUS_10, RADIUS_1):
+        if n < 1:
+            raise ValidityRangeError("deletion averages need n >= 1")
         if k != 2:
             raise DomainError("deletion averages are stated for k = 2")
-        return BoundResult(1 + Fraction(4 * (n - 1), 9), AVERAGE, "n >= 1")
-    if spec == RADIUS_1:
-        if k != 2:
-            raise DomainError("deletion averages are stated for k = 2")
-        return BoundResult(2 + Fraction(8 * (n - 1), 9), AVERAGE, "n >= 1")
+        channels = 1 if spec == RADIUS_10 else 2
+        return BoundResult(channels * (1 + Fraction(4 * (n - 1), 9)), AVERAGE,
+                           "n >= 1")
     return BoundResult(Fraction(sub_ball_pairs(n, k, spec), (k + 1) ** n),
                        AVERAGE, "n >= 0")
 
@@ -325,9 +331,8 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
       tenengolts_del  -- systematic deletion (1,0): 3^n/3^{ceil(log3 n)+3}
       tenengolts1_del -- systematic deletion 1:     3^n/3^{ceil(log3 2n)+5};
                          also serves (1,0)
-
-    spec=None (the table emitters) skips the spec check.
     """
+    _check_resolution(k)
     _check_length(n)
     if method == "bch":
         if not isinstance(spec, Total):
@@ -349,7 +354,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
                          2 ** (ceil_log(2, n + 1) * sum(spec.budgets)))
         return BoundResult(value, VALID_LOWER, "n >= 0")
     if method == "fiber":
-        if not (spec is None or _is_first_channel_single(spec, k)):
+        if not _is_first_channel_single(spec, k):
             raise DomainError("fiber bound applies to the (1,0,...,0) family")
         if k < 2:
             raise DomainError("fiber bound needs k >= 2")
@@ -358,7 +363,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
                     for ell in range(n + 1))
         return BoundResult(Fraction(total), VALID_LOWER, "k >= 2")
     if method == "lee":
-        if not (spec is None or (isinstance(spec, Total) and spec.errors == 1)):
+        if not (isinstance(spec, Total) and spec.errors == 1):
             raise DomainError("lee bound applies to the total-1 family")
         if k % 2 != 0:
             raise DomainError("lee bound needs even k (odd alphabet)")
@@ -368,34 +373,113 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
         # a d:1 code also corrects d:(1,0), not the other way round
         served = ((RADIUS_10,) if method in ("vt_del", "tenengolts_del")
                   else (RADIUS_10, RADIUS_1))
-        if spec is not None and spec not in served:
+        if spec not in served:
             raise DomainError(f"{method} bound applies to {' and '.join(served)}")
         if k != 2:
             raise DomainError("deletion bounds are stated for k = 2")
         if n < 1:
             raise ValidityRangeError("deletion lower bounds need n >= 1")
-        if method == "vt_del":
-            return BoundResult(Fraction(3 ** n, n + 1), VALID_LOWER, "n >= 1")
-        if method == "vt1_del":
-            return BoundResult(Fraction(3 ** n, 2 * n + 1), VALID_LOWER, "n >= 1")
-        if method == "tenengolts_del":
-            value = Fraction(3 ** n, 3 ** (ceil_log(3, n) + 3))
-            return BoundResult(value, VALID_LOWER, "n >= 1")
-        value = Fraction(3 ** n, 3 ** (ceil_log(3, 2 * n) + 5))
-        return BoundResult(value, VALID_LOWER, "n >= 1")
+        divisor = (n + 1 if method == "vt_del"
+                  else 2 * n + 1 if method == "vt1_del"
+                  else 3 ** (ceil_log(3, n) + 3) if method == "tenengolts_del"
+                  else 3 ** (ceil_log(3, 2 * n) + 5))
+        return BoundResult(Fraction(3 ** n, divisor), VALID_LOWER, "n >= 1")
     raise DomainError(f"unknown lower bound method {method!r}")
+
+
+# ---------------------------------------------------------------------------
+# the bound registry
+
+
+def _sphere(n: int, k: int, spec) -> BoundResult:
+    if k != 2:
+        raise DomainError("sphere-packing forms are stated for k = 2")
+    return sphere_packing_upper(n, spec)
+
+
+def _asymptotic(n: int, k: int, spec, tighter: bool = False) -> BoundResult:
+    if k != 2:
+        raise DomainError("asymptotic forms are stated for k = 2")
+    return asymptotic_upper(n, spec, tighter)
+
+
+def _lower(method: str):
+    return lambda n, k, spec: lower_bound(n, k, spec, method)
+
+
+#: every bound by its CLI name, in listing order, as fn(n, k, spec) -> a
+#: BoundResult; fn raises DomainError where its bound does not apply.  The
+#: entries look the bound functions up by module name when called, so a
+#: rebound module attribute (a tracing wrapper) is the one they call.
+BOUNDS = {
+    "sphere": _sphere,
+    "asymptotic": _asymptotic,
+    "tighter": lambda n, k, spec: _asymptotic(n, k, spec, tighter=True),
+    "gspb": lambda n, k, spec: gspb_upper(n, k, spec),
+    "average": lambda n, k, spec: average_ball(n, k, spec),
+    "aspv": lambda n, k, spec: aspv(n, k, spec),
+    **{f"lower:{name}": _lower(method) for name, method in (
+        ("bch", "bch"), ("coset", "coset"), ("fiber", "fiber"), ("lee", "lee"),
+        ("vt", "vt_del"), ("vt1", "vt1_del"), ("tenengolts", "tenengolts_del"),
+        ("tenengolts1", "tenengolts1_del"))},
+}
 
 
 # ---------------------------------------------------------------------------
 # table emission
 
 
-TABLE_KINDS = ("table1", "table2", "table3", "table4",
-               "summary6", "summary7", "summary8")
+def _single(k: int) -> PerChannel:
+    return PerChannel((1,) + (0,) * (k - 1))
 
 
-def _cell(result_or_none) -> str:
-    return "" if result_or_none is None else format_rational(result_or_none.value)
+#: per table, its columns (header, bound name, k, spec) from the table's
+#: k, e0, e1 and e; each table builds only the specs it reads
+_TABLES = {
+    "table1": lambda k, e0, e1, e: [
+        (f"sp_({e0},{e1})", "sphere", 2, PerChannel((e0, e1))),
+        (f"asym_({e0},{e1})", "asymptotic", 2, PerChannel((e0, e1))),
+        (f"sp_t{e}", "sphere", 2, Total(e)),
+        (f"asym_t{e}", "asymptotic", 2, Total(e))],
+    "table2": lambda k, e0, e1, e: [
+        ("gspb_(1,0,...,0)", "gspb", k, _single(k)),
+        ("aspv_(1,0,...,0)", "aspv", k, _single(k)),
+        ("gspb_t1", "gspb", k, Total(1)),
+        ("aspv_t1", "aspv", k, Total(1))],
+    "table3": lambda k, e0, e1, e: [
+        ("gspb_(1,1)", "gspb", 2, PerChannel((1, 1))),
+        ("aspv_(1,1)", "aspv", 2, PerChannel((1, 1))),
+        ("asym_(1,1)", "tighter", 2, PerChannel((1, 1))),
+        ("gspb_t2", "gspb", 2, Total(2)),
+        ("aspv_t2", "aspv", 2, Total(2)),
+        ("asym_t2", "asymptotic", 2, Total(2))],
+    "table4": lambda k, e0, e1, e: [
+        ("gspb_del", "gspb", 2, RADIUS_10),
+        ("aspv_d(1,0)", "aspv", 2, RADIUS_10),
+        ("aspv_d(1)", "aspv", 2, RADIUS_1)],
+    "summary6": lambda k, e0, e1, e: [
+        ("lower_(1,0,...,0)_fiber", "lower:fiber", k, _single(k)),
+        ("upper_(1,0,...,0)_gspb", "gspb", k, _single(k)),
+        ("lower_t1_lee", "lower:lee", k, Total(1)),
+        ("upper_t1_gspb", "gspb", k, Total(1))],
+    "summary7": lambda k, e0, e1, e: [
+        ("lower_(1,1)_coset", "lower:coset", 2, PerChannel((1, 1))),
+        ("upper_(1,1)_gspb", "gspb", 2, PerChannel((1, 1))),
+        ("lower_t2_bch", "lower:bch", 2, Total(2)),
+        ("upper_t2_gspb", "gspb", 2, Total(2)),
+        (f"lower_t{e}_bch", "lower:bch", 2, Total(e)),
+        (f"upper_t{e}_asym", "asymptotic", 2, Total(e)),
+        (f"lower_({e0},{e1})_coset", "lower:coset", 2, PerChannel((e0, e1))),
+        (f"upper_({e0},{e1})_asym", "asymptotic", 2, PerChannel((e0, e1)))],
+    # gspb_upper gives d:1 the d:(1,0) sum, so both upper columns read one cell
+    "summary8": lambda k, e0, e1, e: [
+        ("lower_d(1,0)_vt", "lower:vt", 2, RADIUS_10),
+        ("upper_d(1,0)_gspb", "gspb", 2, RADIUS_10),
+        ("lower_d1_vt", "lower:vt1", 2, RADIUS_1),
+        ("upper_d1_gspb", "gspb", 2, RADIUS_10)],
+}
+
+TABLE_KINDS = tuple(_TABLES)
 
 
 def emit_bound_table(kind: str, n_range, k: int = 2,
@@ -410,104 +494,24 @@ def emit_bound_table(kind: str, n_range, k: int = 2,
     summary6 -- single error, arbitrary k: lower and upper bounds
     summary7 -- k=2 substitution: lower and upper bounds
     summary8 -- k=2 deletion: lower and upper bounds
+
+    A cell is empty wherever its bound raises DomainError.  Columns that
+    name the same (bound, k, spec) share one value per row.
     """
     if kind not in TABLE_KINDS:
         raise DomainError(f"unknown table kind {kind!r}")
-    emit = getattr(_TableEmitters, kind)
-    yield from emit(n_range, k, e0, e1, e)
-
-
-def _try(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (ValidityRangeError, DomainError):
-        return None
-
-
-class _TableEmitters:
-    @staticmethod
-    def table1(n_range, k, e0, e1, e):
-        yield ["n", f"sp_({e0},{e1})", f"asym_({e0},{e1})", f"sp_t{e}", f"asym_t{e}"]
-        pc, tot = PerChannel((e0, e1)), Total(e)
-        for n in n_range:
-            yield [str(n),
-                   _cell(_try(sphere_packing_upper, n, pc)),
-                   _cell(_try(asymptotic_upper, n, pc)),
-                   _cell(_try(sphere_packing_upper, n, tot)),
-                   _cell(_try(asymptotic_upper, n, tot))]
-
-    @staticmethod
-    def table2(n_range, k, e0, e1, e):
-        yield ["n", "gspb_(1,0,...,0)", "aspv_(1,0,...,0)", "gspb_t1", "aspv_t1"]
-        single = PerChannel((1,) + (0,) * (k - 1))
-        for n in n_range:
-            yield [str(n),
-                   _cell(gspb_upper(n, k, single)),
-                   _cell(aspv(n, k, single)),
-                   _cell(gspb_upper(n, k, Total(1))),
-                   _cell(aspv(n, k, Total(1)))]
-
-    @staticmethod
-    def table3(n_range, k, e0, e1, e):
-        yield ["n", "gspb_(1,1)", "aspv_(1,1)", "asym_(1,1)",
-               "gspb_t2", "aspv_t2", "asym_t2"]
-        pc, tot = PerChannel((1, 1)), Total(2)
-        for n in n_range:
-            yield [str(n),
-                   _cell(_try(gspb_upper, n, 2, pc)),
-                   _cell(aspv(n, 2, pc)),
-                   _cell(_try(asymptotic_upper, n, pc, tighter=True)),
-                   _cell(_try(gspb_upper, n, 2, tot)),
-                   _cell(aspv(n, 2, tot)),
-                   _cell(_try(asymptotic_upper, n, tot))]
-
-    @staticmethod
-    def table4(n_range, k, e0, e1, e):
-        yield ["n", "gspb_del", "aspv_d(1,0)", "aspv_d(1)"]
-        for n in n_range:
-            yield [str(n),
-                   str(gspb_upper(n, 2, RADIUS_10).value_floor),
-                   str(aspv(n, 2, RADIUS_10).value_floor),
-                   str(aspv(n, 2, RADIUS_1).value_floor)]
-
-    @staticmethod
-    def summary6(n_range, k, e0, e1, e):
-        yield ["n", "lower_(1,0,...,0)_fiber", "upper_(1,0,...,0)_gspb",
-               "lower_t1_lee", "upper_t1_gspb"]
-        single = PerChannel((1,) + (0,) * (k - 1))
-        for n in n_range:
-            lee = _try(lower_bound, n, k, Total(1), "lee")
-            yield [str(n),
-                   _cell(lower_bound(n, k, single, "fiber")),
-                   _cell(gspb_upper(n, k, single)),
-                   _cell(lee),
-                   _cell(gspb_upper(n, k, Total(1)))]
-
-    @staticmethod
-    def summary7(n_range, k, e0, e1, e):
-        yield ["n", "lower_(1,1)_coset", "upper_(1,1)_gspb",
-               "lower_t2_bch", "upper_t2_gspb",
-               f"lower_t{e}_bch", f"upper_t{e}_asym",
-               f"lower_({e0},{e1})_coset", f"upper_({e0},{e1})_asym"]
-        for n in n_range:
-            yield [str(n),
-                   _cell(lower_bound(n, 2, PerChannel((1, 1)), "coset")),
-                   _cell(_try(gspb_upper, n, 2, PerChannel((1, 1)))),
-                   _cell(lower_bound(n, 2, Total(2), "bch")),
-                   _cell(_try(gspb_upper, n, 2, Total(2))),
-                   _cell(lower_bound(n, 2, Total(e), "bch")),
-                   _cell(_try(asymptotic_upper, n, Total(e))),
-                   _cell(lower_bound(n, 2, PerChannel((e0, e1)), "coset")),
-                   _cell(_try(asymptotic_upper, n, PerChannel((e0, e1))))]
-
-    @staticmethod
-    def summary8(n_range, k, e0, e1, e):
-        yield ["n", "lower_d(1,0)_vt", "upper_d(1,0)_gspb",
-               "lower_d1_vt", "upper_d1_gspb"]
-        for n in n_range:
-            gspb = gspb_upper(n, 2, RADIUS_10)
-            yield [str(n),
-                   _cell(lower_bound(n, 2, None, "vt_del")),
-                   _cell(gspb),
-                   _cell(lower_bound(n, 2, None, "vt1_del")),
-                   _cell(gspb)]
+    _check_resolution(k)
+    columns = _TABLES[kind](k, e0, e1, e)
+    cells = list(dict.fromkeys(column[1:] for column in columns))
+    where = [cells.index(column[1:]) for column in columns]
+    yield ["n"] + [column[0] for column in columns]
+    for n in n_range:
+        values = []
+        for name, cell_k, spec in cells:
+            try:
+                result = BOUNDS[name](n, cell_k, spec)
+            except DomainError:
+                values.append("")
+            else:
+                values.append(str(result.value_floor if kind == "table4" else result))
+        yield [str(n)] + [values[i] for i in where]

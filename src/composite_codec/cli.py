@@ -53,19 +53,7 @@ from composite_codec.core import (
     transform_shift,
 )
 
-_LOWER_METHODS = {
-    "lower:bch": "bch",
-    "lower:coset": "coset",
-    "lower:fiber": "fiber",
-    "lower:lee": "lee",
-    "lower:vt": "vt_del",
-    "lower:vt1": "vt1_del",
-    "lower:tenengolts": "tenengolts_del",
-    "lower:tenengolts1": "tenengolts1_del",
-}
-
-BOUND_CHOICES = ("sphere", "asymptotic", "tighter", "gspb", "average",
-                 "aspv") + tuple(_LOWER_METHODS)
+BOUND_CHOICES = tuple(bounds_mod.BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -411,28 +399,6 @@ def _cmd_ball(args, out):
     return 0
 
 
-def _bound_value(name: str, n: int, k: int, spec):
-    if name == "sphere":
-        if k != 2:
-            raise DomainError("sphere-packing forms are stated for k = 2")
-        return bounds_mod.sphere_packing_upper(n, spec)
-    if name == "asymptotic":
-        if k != 2:
-            raise DomainError("asymptotic forms are stated for k = 2")
-        return bounds_mod.asymptotic_upper(n, spec)
-    if name == "tighter":
-        if k != 2:
-            raise DomainError("asymptotic forms are stated for k = 2")
-        return bounds_mod.asymptotic_upper(n, spec, tighter=True)
-    if name == "gspb":
-        return bounds_mod.gspb_upper(n, k, spec)
-    if name == "average":
-        return bounds_mod.average_ball(n, k, spec)
-    if name == "aspv":
-        return bounds_mod.aspv(n, k, spec)
-    return bounds_mod.lower_bound(n, k, spec, _LOWER_METHODS[name])
-
-
 def _cmd_bounds(args, out):
     if args.k < 1:
         raise DomainError(f"resolution k must be >= 1, got {args.k}")
@@ -450,15 +416,13 @@ def _cmd_bounds(args, out):
     if args.n is None or args.spec is None:
         raise DomainError("either --table or both --n and --spec are required")
     spec = em.parse_spec(args.spec)
-    requested = args.bound or list(BOUND_CHOICES)
-    explicit = bool(args.bound)
     emitter = _Emitter(args.format, out,
                        ("bound", "kind", "value", "floor", "validity"))
-    for name in requested:
+    for name in args.bound or BOUND_CHOICES:
         try:
-            result = _bound_value(name, args.n, args.k, spec)
+            result = bounds_mod.BOUNDS[name](args.n, args.k, spec)
         except DomainError:
-            if explicit:
+            if args.bound:  # a named bound that does not apply is an error
                 raise
             continue
         emitter.row((name, result.kind, result.value, result.value_floor,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from composite_codec.core import all_sequences
-from composite_codec.error_model import SizeLimitError, _cap, enumerate_ball
+from composite_codec.error_model import PerChannel, SizeLimitError, _cap, enumerate_ball
 
 
 @dataclass(frozen=True)
@@ -271,23 +271,15 @@ def optimal_code_size(n: int, k: int, spec) -> OracleResult:
 
 def optimal_binary_single_error(length: int) -> OracleResult:
     """Largest binary code of the given length correcting one substitution,
-    i.e. with minimum Hamming distance 3.
+    i.e. with minimum Hamming distance 3: the k = 1 composite code under
+    the per-channel spec (1,).
 
     Exact for length <= 8.  Lengths up to 7 solve in well under a second;
     length 8 is a famously hard search instance and can run for a very
     long time, so reach for it only when that cost is acceptable."""
     if not 0 <= length <= 8:
         raise SizeLimitError("optimal_binary_single_error supports length <= 8")
-    space = list(all_sequences(length, 1))
-    adj = [0] * len(space)
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            dist = sum(a != b for a, b in zip(space[i], space[j]))
-            if dist <= 2:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    chosen = _max_independent_set(len(space), adj)
-    return OracleResult(len(chosen), tuple(space[i] for i in chosen))
+    return optimal_code_size(length, 1, PerChannel((1,)))
 
 
 # ---------------------------------------------------------------------------

@@ -286,31 +286,32 @@ def optimal_fiber_inners(n: int) -> dict:
             for ell in range(n + 1)}
 
 
-def _check_inners(inners, n: int):
-    for ell in range(n + 1):
-        code = inners.get(ell)
-        if code is None:
-            raise DomainError(f"no inner code for fiber length {ell}")
-        if code.length != ell:
-            raise DomainError(
-                f"inner code for length {ell} has length {code.length}")
-        if ell >= 1 and code.corrects < 1:
-            raise DomainError(
-                f"inner code for length {ell} does not correct one error")
+def _inner(inners, ell: int):
+    """The inner code for fiber length ell, checked before it is used."""
+    code = inners.get(ell)
+    if code is None:
+        raise DomainError(f"no inner code for fiber length {ell}")
+    if code.length != ell:
+        raise DomainError(
+            f"inner code for length {ell} has length {code.length}")
+    if ell >= 1 and code.corrects < 1:
+        raise DomainError(
+            f"inner code for length {ell} does not correct one error")
+    return code
 
 
 def fiber_membership(s, k: int, inners) -> bool:
     """s belongs to the fiber code iff its fingerprint is an inner codeword."""
     if k < 2:
         raise DomainError("the fiber construction needs k >= 2")
-    _check_inners(inners, len(s))
-    return inners[fiber_value(s, k)].member(fiber_map(s, k))
+    return _inner(inners, fiber_value(s, k)).member(fiber_map(s, k))
 
 
 def fiber_enumerate(n: int, k: int, inners):
     if k < 2:
         raise DomainError("the fiber construction needs k >= 2")
-    _check_inners(inners, n)
+    for ell in range(n + 1):
+        _inner(inners, ell)
     for s in all_sequences(n, k):
         if inners[fiber_value(s, k)].member(fiber_map(s, k)):
             yield s
@@ -337,7 +338,6 @@ def fiber_decode(rows, k: int, inners):
     rows = tuple(tuple(r) for r in rows)
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")
-    _check_inners(inners, len(rows[0]) if rows else 0)
     y = reconstruct_rows(rows)
     unknown = [i for i, v in enumerate(y) if v == UNKNOWN]
     if len(unknown) > 1:
@@ -351,12 +351,12 @@ def fiber_decode(rows, k: int, inners):
         if UNKNOWN in s:
             raise DecodeFailure(
                 f"column {j} not explainable by one first-channel error")
-        if not inners[fiber_value(s, k)].member(fiber_map(s, k)):
+        if not _inner(inners, fiber_value(s, k)).member(fiber_map(s, k)):
             raise DecodeFailure("repaired word is not a codeword")
         return s
     ell = fiber_value(y, k)
     fingerprint = fiber_map(y, k)
-    decoded = inners[ell].decode(fingerprint)
+    decoded = _inner(inners, ell).decode(fingerprint)
     diff = [r for r, (a, b) in enumerate(zip(decoded, fingerprint)) if a != b]
     if not diff:
         return y

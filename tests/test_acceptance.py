@@ -12,12 +12,11 @@ from itertools import product
 from math import comb
 
 from composite_codec.bounds import (
-    ValidityRangeError,
+    BOUNDS,
+    VALID_LOWER,
+    VALID_UPPER,
     emit_bound_table,
-    gspb_upper,
     gspb_weight_rule,
-    lower_bound,
-    sphere_packing_upper,
 )
 from composite_codec.capacity import (
     blahut_arimoto,
@@ -29,6 +28,7 @@ from composite_codec.core import (
     UNKNOWN,
     CompositeLetter,
     CompositeParams,
+    DomainError,
     all_sequences,
     decompose_letter,
     decompose_sequence,
@@ -234,34 +234,28 @@ def test_fiber_code_with_optimal_inners_is_optimal():
         assert optimal_code_size(n, 2, spec).size == size
 
 
-def _upper_bounds(n, k, spec_text):
-    spec = parse_spec(spec_text)
-    out = []
-    try:
-        out.append(gspb_upper(n, k, spec).value)
-    except ValidityRangeError:
-        pass
-    if k == 2 and not spec_text.startswith("d:"):
-        out.append(sphere_packing_upper(n, spec).value)
-    return out
+_LOWER_BY_SPEC = {
+    "(1,0)": {"lower:coset", "lower:fiber"},
+    "(1,0,0)": {"lower:coset", "lower:fiber"},
+    "(1,1)": {"lower:coset"},
+    "t:1": {"lower:bch"},
+    "t:2": {"lower:bch"},
+    "d:(1,0)": {"lower:vt", "lower:tenengolts"},
+    "d:1": {"lower:vt1", "lower:tenengolts1"},
+}
 
 
-def _lower_bounds(n, k, spec_text):
-    spec = parse_spec(spec_text)
-    methods = []
-    if spec_text in ("(1,0)", "(1,0,0)"):
-        methods = ["coset", "fiber"]
-    elif spec_text == "(1,1)":
-        methods = ["coset"]
-    elif spec_text.startswith("t:"):
-        methods = ["bch"]
-        if spec_text == "t:1" and k % 2 == 0:
-            methods.append("lee")
-    elif spec_text == "d:(1,0)":
-        methods = ["vt_del", "tenengolts_del"]
-    elif spec_text == "d:1":
-        methods = ["vt1_del", "tenengolts1_del"]
-    return [lower_bound(n, k, spec, m).value for m in methods]
+def _must_check(n, k, text):
+    """The bounds the sandwich must check on an instance, so that a change
+    to BOUNDS cannot drop one unnoticed."""
+    names = set(_LOWER_BY_SPEC[text])
+    if text != "t:2" and (text != "(1,1)" or n >= 4):
+        names.add("gspb")
+    if k == 2 and not text.startswith("d:"):
+        names.add("sphere")
+    if text == "t:1" and k % 2 == 0:
+        names.add("lower:lee")
+    return names
 
 
 def test_bound_sandwich_on_oracle_solved_instances():
@@ -269,11 +263,23 @@ def test_bound_sandwich_on_oracle_solved_instances():
                  for t in ("(1,0)", "(1,1)", "t:1", "t:2", "d:(1,0)", "d:1")]
     instances += [(n, 3, t) for n in (2, 3) for t in ("(1,0,0)", "t:1")]
     for n, k, text in instances:
-        opt = Fraction(optimal_code_size(n, k, parse_spec(text)).size)
-        for upper in _upper_bounds(n, k, text):
-            assert opt <= upper, (n, k, text, opt, upper)
-        for lower in _lower_bounds(n, k, text):
-            assert lower <= opt, (n, k, text, lower, opt)
+        spec = parse_spec(text)
+        opt = Fraction(optimal_code_size(n, k, spec).size)
+        checked = set()
+        for name, bound in BOUNDS.items():
+            try:
+                result = bound(n, k, spec)
+            except DomainError:
+                continue
+            if result.kind == VALID_UPPER:
+                assert opt <= result.value, (n, k, text, name, opt, result.value)
+            elif result.kind == VALID_LOWER:
+                assert result.value <= opt, (n, k, text, name, result.value, opt)
+            else:
+                continue
+            checked.add(name)
+        missed = _must_check(n, k, text) - checked
+        assert not missed, (n, k, text, missed)
 
 
 def test_weight_rules_are_fractional_transversals():

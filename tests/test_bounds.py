@@ -7,6 +7,7 @@ import pytest
 from composite_codec.core import DomainError, all_sequences
 from composite_codec.bounds import (
     AVERAGE,
+    BOUNDS,
     TABLE_KINDS,
     ValidityRangeError,
     aspv,
@@ -257,13 +258,12 @@ def test_deletion_lower_bounds_honour_their_spec():
     d10, d1 = parse_spec("d:(1,0)"), parse_spec("d:1")
     for method in ("vt_del", "tenengolts_del"):
         assert lower_bound(9, 2, d10, method).kind == "valid_lower"
-        assert lower_bound(9, 2, None, method).kind == "valid_lower"
         for spec in (d1, parse_spec("(1,0)"), parse_spec("(1,1)"), parse_spec("t:1")):
             with pytest.raises(DomainError):
                 lower_bound(9, 2, spec, method)
     for method in ("vt1_del", "tenengolts1_del"):
         # a d:1 code corrects d:(1,0) as well
-        for spec in (d10, d1, None):
+        for spec in (d10, d1):
             assert lower_bound(9, 2, spec, method).kind == "valid_lower"
         for spec in (parse_spec("(1,0)"), parse_spec("t:2")):
             with pytest.raises(DomainError):
@@ -354,3 +354,31 @@ def test_first_channel_bounds_check_the_budget_length():
             call()
     assert gspb_upper(4, 3, PerChannel((1, 0, 0))).value == Fraction(496, 5)
     assert lower_bound(4, 3, PerChannel((1, 0, 0)), "fiber").value == 90
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0])
+def test_bounds_reject_a_resolution_below_one(k):
+    message = f"^resolution k must be >= 1, got {k}$"
+    for call in (lambda: gspb_upper(3, k, Total(1)),
+                 lambda: average_ball(3, k, Total(1)),
+                 lambda: aspv(3, k, Total(1)),
+                 lambda: lower_bound(3, k, Total(1), "bch"),
+                 lambda: gspb_weight_rule(3, k, Total(1)),
+                 lambda: next(emit_bound_table("table2", range(2, 4), k=k))):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_bound_registry_lists_every_bound_in_order():
+    assert tuple(BOUNDS) == (
+        "sphere", "asymptotic", "tighter", "gspb", "average", "aspv",
+        "lower:bch", "lower:coset", "lower:fiber", "lower:lee", "lower:vt",
+        "lower:vt1", "lower:tenengolts", "lower:tenengolts1")
+    for name in ("sphere", "asymptotic", "tighter"):
+        with pytest.raises(DomainError, match="forms are stated for k = 2$"):
+            BOUNDS[name](8, 3, Total(2))
+    assert BOUNDS["tighter"](8, 2, PerChannel((1, 1))) == \
+        asymptotic_upper(8, PerChannel((1, 1)), tighter=True)
+    assert BOUNDS["lower:vt1"](8, 2, parse_spec("d:(1,0)")) == \
+        lower_bound(8, 2, parse_spec("d:(1,0)"), "vt1_del")
+

@@ -104,6 +104,74 @@ def test_bounds_table4_csv():
     ]
 
 
+def test_bounds_table_leaves_a_cell_empty_where_its_bound_does_not_apply():
+    # no deletion GSPB below n = 2 and no deletion average below n = 1
+    code, out, err = run_cli(
+        "bounds", "--table", "table4", "--n-min", "0", "--n-max", "3",
+        "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        'n,gspb_del,"aspv_d(1,0)",aspv_d(1)',
+        "0,,,",
+        "1,,3,1",
+        "2,7,6,3",
+        "3,18,14,7",
+    ]
+
+
+@pytest.mark.parametrize("args, error", [
+    (("table1", "--e0", "-1"), "negative budget in (-1, 1)"),
+    (("table1", "--e", "-2"), "negative budget -2"),
+    (("summary7", "--e1", "-1"), "negative budget in (1, -1)"),
+])
+def test_bounds_table_rejects_a_negative_budget_before_the_header(args, error):
+    assert run_cli("bounds", "--table", *args) == (1, "", f"error: {error}\n")
+
+
+def test_bounds_table_builds_only_the_specs_it_reads():
+    assert run_cli("bounds", "--table", "table2", "--n-max", "3", "--e0", "-1") == \
+        run_cli("bounds", "--table", "table2", "--n-max", "3")
+
+
+@pytest.mark.parametrize("kind", bounds.TABLE_KINDS)
+def test_bounds_table_cells_match_the_queries(kind):
+    for k in range(1, 5):
+        columns = bounds._TABLES[kind](k, 1, 1, 2)
+        code, out, _ = run_cli("bounds", "--table", kind, "--n-min", "-1",
+                               "--n-max", "6", "--k", str(k), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["n"] + [header for header, *_ in columns]
+        assert [row[0] for row in rows[1:]] == [str(n) for n in range(-1, 7)]
+        for row in rows[1:]:
+            for cell, (header, name, cell_k, spec) in zip(row[1:], columns):
+                code, out, _ = run_cli(
+                    "bounds", "--n", row[0], "--k", str(cell_k), "--spec", str(spec),
+                    "--bound", name, "--format", "csv")
+                if code:
+                    assert (code, cell) == (1, ""), (kind, k, row[0], header)
+                    continue
+                (query,) = csv.DictReader(io.StringIO(out))
+                want = query["floor"] if kind == "table4" else query["value"]
+                assert cell == want, (kind, k, row[0], header)
+
+
+def test_bound_tables_and_queries_call_the_module_bound_functions(monkeypatch):
+    calls = []
+    gspb_upper = bounds.gspb_upper
+
+    def counted(*args):
+        calls.append(args)
+        return gspb_upper(*args)
+    monkeypatch.setattr(bounds, "gspb_upper", counted)
+    table = bounds.emit_bound_table("table2", [5])
+    assert next(table)[1] == "gspb_(1,0,...,0)"
+    assert next(table)[1] == "182/3"
+    assert len(calls) == 2  # the (1,0) and t:1 columns
+    assert run_cli("bounds", "--n", "4", "--spec", "(1,0)", "--bound", "gspb")[0] == 0
+    assert calls[2:] == [(4, 2, error_model.PerChannel((1, 0)))]
+
+
 def test_bounds_single_query_json():
     code, out, _ = run_cli(
         "bounds", "--n", "4", "--spec", "(1,0)", "--bound", "gspb",

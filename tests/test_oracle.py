@@ -44,6 +44,25 @@ def test_optimal_binary_witness_is_valid_code():
             assert sum(x != y for x, y in zip(a, b)) >= 3
 
 
+def _binary_single_error_by_distance(length):
+    """The search over Hamming distances: words at distance <= 2 conflict."""
+    space = list(all_sequences(length, 1))
+    adj = [0] * len(space)
+    for i in range(len(space)):
+        for j in range(i + 1, len(space)):
+            if sum(a != b for a, b in zip(space[i], space[j])) <= 2:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(space[i] for i in _max_independent_set(len(space), adj))
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_optimal_binary_single_error_matches_the_distance_search(length):
+    result = optimal_binary_single_error(length)
+    assert result.witness == _binary_single_error_by_distance(length)
+    assert result.size == len(result.witness)
+
+
 def test_optimal_binary_witness_is_lex_smallest():
     assert optimal_binary_single_error(3).witness == ((0, 0, 0), (1, 1, 1))
     assert optimal_binary_single_error(4).witness[0] == (0, 0, 0, 0)

@@ -217,6 +217,28 @@ def test_fiber_decode_corrects_first_channel_error():
         assert report.ok, report.failures[:3]
 
 
+@pytest.mark.parametrize("inner, message", [
+    (None, "no inner code for fiber length 3"),
+    (HammingCosetCode(4), "inner code for length 3 has length 4"),
+    (TrivialCode(3), "inner code for length 3 does not correct one error"),
+])
+def test_fiber_codes_check_the_inner_code_they_use(inner, message):
+    s = (0, 1, 2, 2)  # fiber length 3
+    rows = decompose_sequence(s, 2)
+    inners = {3: inner} if inner is not None else {}
+    for call in (lambda: fiber_membership(s, 2, inners),
+                 lambda: fiber_decode(rows, 2, inners),
+                 lambda: list(fiber_enumerate(3, 2, hamming_fiber_inners(2) | inners))):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call()
+    # the unused lengths are not looked at; enumeration checks them all
+    inners = {3: HammingCosetCode(3)}
+    assert not fiber_membership(s, 2, inners)  # fingerprint 011
+    assert fiber_decode(rows, 2, inners) == (0, 2, 2, 2)  # 011 -> 111
+    with pytest.raises(DomainError, match="^no inner code for fiber length 0$"):
+        list(fiber_enumerate(4, 2, inners))
+
+
 def test_checksum_value():
     assert checksum((0, 1, 2, 0), 4) == 8
     assert checksum((0, 0, 0), 3) == 0
