@@ -481,6 +481,11 @@ _TABLES = {
 
 TABLE_KINDS = tuple(_TABLES)
 
+#: per table, the parameters of emit_bound_table besides n_range it reads
+TABLE_READS = {"table1": ("e0", "e1", "e"), "table2": ("k",), "table3": (),
+               "table4": (), "summary6": ("k",), "summary7": ("e0", "e1", "e"),
+               "summary8": ()}
+
 
 def emit_bound_table(kind: str, n_range, k: int = 2,
                      e0: int = 1, e1: int = 1, e: int = 2):

@@ -80,13 +80,16 @@ class CapacityResult:
 def capacity_composite(p: float, tol: float = 1e-10) -> CapacityResult:
     """Maximise I(X; Y) over the symmetric inputs (alpha, 1-2a, alpha)."""
     p = _check_p(p)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance {tol} is not finite and positive")
     matrix = channel_matrix(p)
 
     def f(alpha: float) -> float:
         return mutual_information(symmetric_input(alpha), matrix)
 
     # 129 points 0, 1/256, ..., 1/2 (exact in binary), then golden section
-    # between the neighbours of the best one
+    # between the neighbours of the best one until the bracket is tol wide
+    # or float rounding stops it shrinking
     grid = [i / 256.0 for i in range(129)]
     values = [f(a) for a in grid]
     best = values.index(max(values))
@@ -95,7 +98,9 @@ def capacity_composite(p: float, tol: float = 1e-10) -> CapacityResult:
     a = hi - _GOLDEN * (hi - lo)
     b = lo + _GOLDEN * (hi - lo)
     fa, fb = f(a), f(b)
-    while hi - lo > tol:
+    width = math.inf
+    while tol < hi - lo < width:
+        width = hi - lo
         if fa < fb:
             lo, a, fa = a, b, fb
             b = lo + _GOLDEN * (hi - lo)

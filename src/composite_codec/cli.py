@@ -142,12 +142,11 @@ class _Construction:
     """A code construction as encode, decode and verify see it; callables
     take the run state first.  alphabet: letter range of plain words, None
     for k-row words.  Membership codes give members and is_member, systematic
-    codes encode; size: a closed-form count; reads: codec flags besides --k."""
+    codes encode; size: a closed-form count; reads: the flags it reads."""
 
     spec: Callable
     decode: Callable
     alphabet: int | None = None
-    k2_only: bool = False
     members: Callable | None = None
     is_member: Callable | None = None
     encode: Callable | None = None
@@ -194,7 +193,7 @@ def _c1_spec(args):
 
 _CONSTRUCTIONS = {
     "c1": _Construction(
-        _c1_spec, reads=("spec", "label"),
+        _c1_spec, reads=("k", "spec", "label"),
         members=lambda r, n: sub_mod.product_enumerate(n, r.k, r.row_codes(n)),
         is_member=lambda r, s: sub_mod.product_membership(
             s, r.k, r.row_codes(len(s))),
@@ -202,42 +201,42 @@ _CONSTRUCTIONS = {
             y, r.k, r.row_codes(len(y[0])))),
     "c2": _Construction(
         lambda a: em.PerChannel((1,) + (0,) * (a.k - 1)),
-        reads=("inner", "label"),
+        reads=("k", "inner", "label"),
         members=lambda r, n: sub_mod.fiber_enumerate(n, r.k, r.inners(n)),
         is_member=lambda r, s: sub_mod.fiber_membership(s, r.k, r.inners(len(s))),
         decode=lambda r, y: sub_mod.fiber_decode(y, r.k, r.inners(len(y[0]))),
         size=lambda r, n: sub_mod.fiber_code_size(
             n, r.k, {ell: code.size for ell, code in r.inners(n).items()})),
     "lee": _Construction(
-        lambda a: em.Total(1), reads=("label",),
+        lambda a: em.Total(1), reads=("k", "label"),
         members=lambda r, n: sub_mod.checksum_enumerate(n, r.k, r.label),
         is_member=lambda r, s: sub_mod.checksum_membership(s, r.k, r.label),
         decode=lambda r, y: sub_mod.checksum_decode(y, r.k, r.label)),
     "c3": _Construction(
-        lambda a: em.RADIUS_10, k2_only=True, reads=("label",),
+        lambda a: em.RADIUS_10, reads=("label",),
         members=lambda r, n: deletion_mod.vt_row_enumerate(n, r.label),
         is_member=lambda r, s: deletion_mod.vt_row_membership(s, r.label),
         decode=lambda r, y: deletion_mod.vt_row_decode(y, r.label)),
     "c4": _Construction(
-        lambda a: em.RADIUS_10, k2_only=True,
+        lambda a: em.RADIUS_10,
         encode=lambda r, msg: deletion_mod.marker_row_encode(msg),
         decode=lambda r, y: deletion_mod.marker_row_decode(y)),
     "c5": _Construction(
-        lambda a: em.RADIUS_1, k2_only=True, reads=("label",),
+        lambda a: em.RADIUS_1, reads=("label",),
         members=lambda r, n: deletion_mod.vt_pair_enumerate(n, r.label),
         is_member=lambda r, s: deletion_mod.vt_pair_membership(s, r.label),
         decode=lambda r, y: deletion_mod.vt_pair_decode(y, r.label)),
     "c6": _Construction(
-        lambda a: em.RADIUS_1, k2_only=True,
+        lambda a: em.RADIUS_1,
         encode=lambda r, msg: deletion_mod.marker_pair_encode(msg),
         decode=lambda r, y: deletion_mod.marker_pair_decode(y)),
     "vt": _Construction(
-        lambda a: em.RADIUS_1, alphabet=1, k2_only=True, reads=("label",),
+        lambda a: em.RADIUS_1, alphabet=1, reads=("label",),
         members=lambda r, n: deletion_mod.vt_enumerate(n, r.label),
         is_member=lambda r, x: deletion_mod.vt_membership(x, r.label),
         decode=lambda r, y: deletion_mod.vt_decode(y, len(y) + 1, r.label)),
     "ternary": _Construction(
-        lambda a: em.RADIUS_1, alphabet=2, k2_only=True,
+        lambda a: em.RADIUS_1, alphabet=2,
         encode=lambda r, msg: deletion_mod.ternary_encode(msg),
         decode=lambda r, y: deletion_mod.ternary_decode(
             y, deletion_mod.message_length(
@@ -246,21 +245,25 @@ _CONSTRUCTIONS = {
 
 CONSTRUCTIONS = tuple(_CONSTRUCTIONS)
 
-_CODEC_FLAGS = {"spec": None, "label": 0, "inner": "hamming"}
+#: flags every mode reads: the subcommand, its parser, output and inputs
+_SHARED = ("command", "parser", "format", "out", "caps", "infile", "inputs")
 
 
-def _construction(args):
-    """The entry named by --construction and its run state; a codec flag
-    off its default that the construction does not read is an error."""
-    name = args.construction
-    entry = _CONSTRUCTIONS[name]
-    for flag, default in _CODEC_FLAGS.items():
-        if flag not in entry.reads and getattr(args, flag) != default:
-            raise DomainError(f"construction {name} does not read --{flag}")
+def _only(args, mode: str, *reads: str) -> None:
+    """The one unread-flag rule: a flag off its subcommand's default that
+    is neither in reads nor shared is an error."""
+    for flag, value in vars(args).items():
+        if flag not in reads + _SHARED and value != args.parser.get_default(flag):
+            raise DomainError(f"{mode} does not read --{flag.replace('_', '-')}")
+
+
+def _construction(args, *reads):
+    """The entry named by --construction, which reads its flags and reads."""
+    entry = _CONSTRUCTIONS[args.construction]
+    _only(args, f"construction {args.construction}", "construction",
+          *entry.reads, *reads)
     if args.inner == "optimal" and args.label != 0:
         raise DomainError("--inner optimal does not read --label")
-    if entry.k2_only and args.k != 2:
-        raise DomainError(f"construction {name} is defined for k = 2")
     return entry, _Run(entry, args)
 
 
@@ -403,6 +406,8 @@ def _cmd_bounds(args, out):
     if args.k < 1:
         raise DomainError(f"resolution k must be >= 1, got {args.k}")
     if args.table:
+        _only(args, f"bounds --table {args.table}", "table", "n_min", "n_max",
+              *bounds_mod.TABLE_READS[args.table])
         stream = bounds_mod.emit_bound_table(
             args.table, range(args.n_min, args.n_max + 1),
             k=args.k, e0=args.e0, e1=args.e1, e=args.e)
@@ -413,6 +418,7 @@ def _cmd_bounds(args, out):
         for row in stream:
             emitter.row(row)
         return 0
+    _only(args, "bounds", "n", "k", "spec", "bound")
     if args.n is None or args.spec is None:
         raise DomainError("either --table or both --n and --spec are required")
     spec = em.parse_spec(args.spec)
@@ -453,10 +459,12 @@ def _cmd_decode(args, out):
 
 def _cmd_search_optimal(args, out):
     if args.binary_length is not None:
+        _only(args, "search-optimal --binary-length", "binary_length", "save")
         result = oracle_mod.optimal_binary_single_error(args.binary_length)
         witness = [format_binary(w) for w in result.witness]
         params = {"binary_length": args.binary_length}
     else:
+        _only(args, "search-optimal", "n", "k", "spec", "save")
         if args.n is None or args.spec is None:
             raise DomainError("--n and --spec (or --binary-length) are required")
         spec = em.parse_spec(args.spec)
@@ -482,7 +490,10 @@ def _cmd_search_optimal(args, out):
 
 
 def _verify_construction(args, out):
-    entry, run = _construction(args)
+    length = "n" if _CONSTRUCTIONS[args.construction].encode is None else "m"
+    sampling = (("summary",) if args.summary
+                else ("sample", "seed") if args.sample is not None else ())
+    entry, run = _construction(args, length, *sampling)
     # decode target -> codeword; a systematic codeword decodes to its message
     if entry.encode is None:
         if args.n is None:
@@ -614,28 +625,12 @@ def _verify_transversal(args, out):
     return 0 if report.feasible else 1
 
 
-# every verify flag with its default, and the ones each check mode reads
-_VERIFY_FLAGS = {"construction": None, **_CODEC_FLAGS, "n": None, "m": None,
-                 "summary": False, "sample": None, "seed": 0,
-                 "codebook": None, "transversal": False}
-_CHECK_READS = {"--codebook": ("codebook", "spec"),
-                "--transversal": ("transversal", "spec", "n")}
-
-
-def _reject_unread_flags(args, mode: str) -> None:
-    """A verify flag off its default that the check mode does not read is
-    an error."""
-    for flag, default in _VERIFY_FLAGS.items():
-        if flag not in _CHECK_READS[mode] and getattr(args, flag) != default:
-            raise DomainError(f"verify {mode} does not read --{flag}")
-
-
 def _cmd_verify(args, out):
-    if args.codebook or args.transversal:
-        _reject_unread_flags(args, "--codebook" if args.codebook else "--transversal")
     if args.codebook:
+        _only(args, "verify --codebook", "codebook", "k", "spec")
         return _verify_codebook(args, out)
     if args.transversal:
+        _only(args, "verify --transversal", "transversal", "n", "k", "spec")
         return _verify_transversal(args, out)
     if args.construction:
         return _verify_construction(args, out)
@@ -644,20 +639,32 @@ def _cmd_verify(args, out):
 
 
 def _parse_sweep(text: str):
-    if ":" in text:
-        lo_s, hi_s, count_s = text.split(":")
-        lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-        if count < 2:
-            raise DomainError("sweep needs at least two points")
-        step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
-    return [float(part) for part in text.split(",") if part]
+    try:
+        if ":" in text:
+            lo_s, hi_s, count_s = text.split(":")
+            lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+            step = (hi - lo) / max(count - 1, 1)
+            ps = [lo + i * step for i in range(count)]
+        else:
+            ps = [float(part) for part in text.split(",") if part]
+    except ValueError:
+        raise DomainError(f"sweep {text!r} is neither lo:hi:count nor a "
+                          "comma-separated list") from None
+    if ":" in text and len(ps) < 2:
+        raise DomainError("sweep needs at least two points")
+    if not ps:
+        raise DomainError(f"sweep {text!r} has no points")
+    return ps
 
 
 def _cmd_capacity(args, out):
     if args.sweep:
+        _only(args, "capacity --sweep", "sweep", "oracle", "plot", "tol")
         ps = _parse_sweep(args.sweep)
+        if args.plot and len(ps) < 2:
+            raise DomainError("--plot needs a sweep with at least two points")
     elif args.p is not None:
+        _only(args, "capacity --p", "p", "oracle", "tol")
         ps = [args.p]
     else:
         raise DomainError("either --p or --sweep is required")
@@ -675,8 +682,6 @@ def _cmd_capacity(args, out):
     for values in table:
         emitter.row(values)
     if args.plot:
-        if len(rows) < 2:
-            raise DomainError("--plot needs a sweep with at least two points")
         with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(capacity_mod.render_svg(rows) + "\n")
     return 0
@@ -701,6 +706,7 @@ DISPATCH = {
 
 
 def _add_common(sub, inputs=False):
+    sub.set_defaults(parser=sub)  # the defaults _only compares against
     sub.add_argument("--format", choices=("text", "csv", "json"),
                      default="text")
     sub.add_argument("--out", help="write output to this file")
@@ -717,13 +723,11 @@ def _add_codec_flags(sub, required=True):
     sub.add_argument("--construction", choices=CONSTRUCTIONS,
                      required=required)
     sub.add_argument("--k", type=int, default=2)
-    sub.add_argument("--label", type=int, default=_CODEC_FLAGS["label"],
+    sub.add_argument("--label", type=int, default=0,
                      help="checksum label / coset selector")
     sub.add_argument("--inner", choices=("hamming", "optimal"),
-                     default=_CODEC_FLAGS["inner"],
-                     help="inner codes for construction c2")
-    sub.add_argument("--spec", default=_CODEC_FLAGS["spec"],
-                     help="per-channel spec for construction c1")
+                     default="hamming", help="inner codes for construction c2")
+    sub.add_argument("--spec", help="per-channel spec for construction c1")
 
 
 def build_parser() -> argparse.ArgumentParser:

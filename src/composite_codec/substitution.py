@@ -390,24 +390,12 @@ def checksum_enumerate(n: int, k: int, label: int = 0):
             yield s
 
 
-def _repair_column(column):
-    """Valid columns a single bit error away from the received one.
-
-    Returns (exact, levels): exact repairs give one level, the ambiguous
-    lone-bit pattern gives the two levels around the midpoint.
-    """
+def _one_flip_letters(column):
+    """The letters whose column is one bit away from the received one
+    (letter L's column has ones in its bottom L rows)."""
     k = len(column)
-    v = list(column)
-    t = next(i for i in range(k - 1) if v[i] == 1 and v[i + 1] == 0)
-    if t > 0 and v[t - 1] == 1:
-        # a zero hole below a run of ones: only filling it is consistent
-        return True, (sum(v) + 1,)
-    if t < k - 2 and v[t + 2] == 0:
-        # a lone one with zeros on both sides: only clearing it is consistent
-        return True, (sum(v) - 1,)
-    # lone one directly above the bottom run: both repairs are valid columns
-    mid = k - t - 1
-    return False, (mid - 1, mid + 1)
+    return [level for level in range(k + 1)
+            if sum(bit != (r >= k - level) for r, bit in enumerate(column)) == 1]
 
 
 def checksum_decode(rows, k: int, label: int = 0):
@@ -431,12 +419,8 @@ def checksum_decode(rows, k: int, label: int = 0):
             f"{len(unknown)} inconsistent columns; budget is one error")
     if unknown:
         j = unknown[0]
-        column = tuple(rows[r][j] for r in range(k))
-        exact, levels = _repair_column(column)
         matches = []
-        for level in levels:
-            if not 0 <= level <= k:
-                continue
+        for level in _one_flip_letters([row[j] for row in rows]):
             s = list(y)
             s[j] = level
             if checksum(s, n) == label:

@@ -115,6 +115,18 @@ def test_sweep_rows():
     assert composite_bits > pair_bits
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_capacity_rejects_a_tolerance_not_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="not finite and positive"):
+        capacity_composite(0.1, tol=tol)
+
+
+def test_capacity_search_stops_once_the_bracket_stops_shrinking():
+    # a bracket 1e-30 wide is below float resolution near alpha = 0.37
+    assert abs(capacity_composite(0.1, tol=1e-30).alpha
+               - capacity_composite(0.1).alpha) < 1e-7
+
+
 def test_render_svg():
     rows = sweep([0.1, 0.2, 0.3])
     svg = render_svg(rows)

@@ -129,13 +129,15 @@ def test_bounds_table_rejects_a_negative_budget_before_the_header(args, error):
 
 
 def test_bounds_table_builds_only_the_specs_it_reads():
+    assert list(bounds.emit_bound_table("table2", range(2, 4), e0=-1)) == \
+        list(bounds.emit_bound_table("table2", range(2, 4)))
     assert run_cli("bounds", "--table", "table2", "--n-max", "3", "--e0", "-1") == \
-        run_cli("bounds", "--table", "table2", "--n-max", "3")
+        (1, "", "error: bounds --table table2 does not read --e0\n")
 
 
 @pytest.mark.parametrize("kind", bounds.TABLE_KINDS)
 def test_bounds_table_cells_match_the_queries(kind):
-    for k in range(1, 5):
+    for k in range(1, 5) if "k" in bounds.TABLE_READS[kind] else [2]:
         columns = bounds._TABLES[kind](k, 1, 1, 2)
         code, out, _ = run_cli("bounds", "--table", kind, "--n-min", "-1",
                                "--n-max", "6", "--k", str(k), "--format", "csv")
@@ -154,6 +156,15 @@ def test_bounds_table_cells_match_the_queries(kind):
                 (query,) = csv.DictReader(io.StringIO(out))
                 want = query["floor"] if kind == "table4" else query["value"]
                 assert cell == want, (kind, k, row[0], header)
+
+
+def test_table_reads_name_the_parameters_each_table_reads():
+    base = dict(k=2, e0=1, e1=1, e=2)
+    for kind in bounds.TABLE_KINDS:
+        columns = bounds._TABLES[kind]
+        read = {name for name in base
+                if columns(**dict(base, **{name: base[name] + 1})) != columns(**base)}
+        assert read == set(bounds.TABLE_READS[kind]), kind
 
 
 def test_bound_tables_and_queries_call_the_module_bound_functions(monkeypatch):
@@ -442,6 +453,71 @@ def test_verify_codebook_requires_spec(tmp_path):
     book = tmp_path / "empty.txt"
     book.write_text("")
     _one_error_line(("verify", "--codebook", str(book)))
+
+
+@pytest.mark.parametrize("args, error", [
+    (("bounds", "--table", "table4", "--k", "3", "--n", "9", "--spec", "t:1",
+      "--e0", "4"), "bounds --table table4 does not read --n"),
+    (("bounds", "--table", "table1", "--k", "3"),
+     "bounds --table table1 does not read --k"),
+    (("bounds", "--table", "table2", "--e", "3"),
+     "bounds --table table2 does not read --e"),
+    (("bounds", "--table", "summary8", "--n", "4"),
+     "bounds --table summary8 does not read --n"),
+    (("bounds", "--table", "table3", "--bound", "gspb"),
+     "bounds --table table3 does not read --bound"),
+    (("bounds", "--n", "4", "--spec", "t:1", "--n-min", "3"),
+     "bounds does not read --n-min"),
+    (("bounds", "--n", "4", "--spec", "t:1", "--n-max", "3"),
+     "bounds does not read --n-max"),
+    (("bounds", "--n", "4", "--spec", "t:1", "--e1", "0"),
+     "bounds does not read --e1"),
+    (("search-optimal", "--binary-length", "3", "--n", "4", "--spec", "t:1"),
+     "search-optimal --binary-length does not read --n"),
+    (("search-optimal", "--binary-length", "3", "--k", "3"),
+     "search-optimal --binary-length does not read --k"),
+    (("search-optimal", "--n", "2", "--spec", "t:1", "--binary-length", "3"),
+     "search-optimal --binary-length does not read --n"),
+    (("verify", "--construction", "c3", "--n", "4", "--m", "7", "--summary"),
+     "construction c3 does not read --m"),
+    (("verify", "--construction", "c4", "--m", "3", "--n", "4"),
+     "construction c4 does not read --n"),
+    (("verify", "--construction", "c3", "--n", "4", "--summary", "--sample", "3"),
+     "construction c3 does not read --sample"),
+    (("verify", "--construction", "c3", "--n", "4", "--seed", "3"),
+     "construction c3 does not read --seed"),
+    (("verify", "--construction", "c3", "--n", "4", "--k", "3"),
+     "construction c3 does not read --k"),
+    (("encode", "--construction", "ternary", "--k", "3", "0120"),
+     "construction ternary does not read --k"),
+    (("capacity", "--p", "0.1", "--sweep", "0.2,0.3"),
+     "capacity --sweep does not read --p"),
+    (("capacity", "--p", "0.1", "--plot", os.devnull),
+     "capacity --p does not read --plot"),
+])
+def test_a_flag_the_mode_does_not_read_is_one_error_line(args, error):
+    assert run_cli(*args) == (1, "", f"error: {error}\n")
+
+
+def test_a_flag_at_its_default_counts_as_unset():
+    assert run_cli("bounds", "--table", "table4", "--n-max", "3", "--k", "2",
+                   "--e0", "1") == \
+        run_cli("bounds", "--table", "table4", "--n-max", "3")
+    assert run_cli("verify", "--construction", "c3", "--n", "4", "--summary",
+                   "--seed", "0", "--k", "2")[:2] == \
+        (0, "c3\t25\t100\t0\ttrue\n")
+
+
+@pytest.mark.parametrize("args", [
+    ("--sweep", "abc"), ("--sweep", "0:1"), ("--sweep", "0:1:x"),
+    ("--sweep", "0:1:1e3"), ("--sweep", ",,,"), ("--sweep", "0.1,x"),
+    ("--sweep", "0.2", "--plot", os.devnull),
+    ("--sweep", "0.2,", "--plot", os.devnull),
+    ("--p", "0.1", "--tol", "0"), ("--p", "0.1", "--tol=-1"),
+    ("--p", "0.1", "--tol", "nan"), ("--sweep", "0.1,0.2", "--tol", "inf"),
+])
+def test_malformed_capacity_input_is_one_error_line(args):
+    _one_error_line(("capacity",) + args)
 
 
 def test_construction_accepts_the_flags_it_reads():

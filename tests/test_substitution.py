@@ -18,6 +18,7 @@ from composite_codec.substitution import (
     ExplicitCode,
     HammingCosetCode,
     TrivialCode,
+    _one_flip_letters,
     checksum,
     checksum_decode,
     checksum_enumerate,
@@ -270,6 +271,46 @@ def test_checksum_decode_rejects_garbage():
     with pytest.raises(DecodeFailure):
         # two columns are invalid, beyond the single-error budget
         checksum_decode(((1, 1), (0, 0), (0, 0), (0, 0)), 4, 0)
+
+
+def _repair_column_reference(column):
+    """The three-case column repair checksum_decode used before: the levels
+    a single bit error away from a broken column, as (exact, levels)."""
+    k = len(column)
+    v = list(column)
+    t = next(i for i in range(k - 1) if v[i] == 1 and v[i + 1] == 0)
+    if t > 0 and v[t - 1] == 1:
+        return True, (sum(v) + 1,)
+    if t < k - 2 and v[t + 2] == 0:
+        return True, (sum(v) - 1,)
+    mid = k - t - 1
+    return False, (mid - 1, mid + 1)
+
+
+def test_one_flip_letters_match_the_three_case_repair():
+    checked = 0
+    for k in range(2, 9):
+        letters = {tuple(row[0] for row in decompose_sequence((level,), k)): level
+                   for level in range(k + 1)}
+        for column in itertools.product((0, 1), repeat=k):
+            if column in letters:
+                continue
+            checked += 1
+            near = sorted(level for col, level in letters.items()
+                          if sum(a != b for a, b in zip(col, column)) == 1)
+            assert _one_flip_letters(column) == near, column
+            if near:
+                _, levels = _repair_column_reference(column)
+                assert near == sorted(v for v in levels if 0 <= v <= k), column
+    assert checked == 466
+
+
+def test_checksum_decode_fails_on_a_column_two_flips_from_every_letter():
+    # column 0 reads 1010 top first; the old repair offered level 2, whose
+    # checksum 2 matches label 2, and decoded to (2, 0)
+    with pytest.raises(DecodeFailure,
+                       match="column 0 repair does not match the checksum"):
+        checksum_decode(((1, 0), (0, 0), (1, 0), (0, 0)), 4, 2)
 
 
 def test_explicit_code_validation():
