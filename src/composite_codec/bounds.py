@@ -22,6 +22,7 @@ from composite_codec.core import DomainError, ceil_log
 from composite_codec.error_model import (
     RADIUS_1,
     RADIUS_10,
+    SHORTENED,
     PerChannel,
     Total,
     _check_sub_spec,
@@ -202,7 +203,7 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
     """
     _check_resolution(k)
     _check_length(n)
-    if spec in (RADIUS_10, RADIUS_1):
+    if spec in SHORTENED:
         if k != 2:
             raise DomainError("deletion bounds are stated for k = 2")
         if n < 2:
@@ -295,14 +296,13 @@ def gspb_weight_rule(n: int, k: int, spec):
 def average_ball(n: int, k: int, spec) -> BoundResult:
     """Average ball size over the whole space (exact rational)."""
     _check_resolution(k)
-    if spec in (RADIUS_10, RADIUS_1):
+    if spec in SHORTENED:
         if n < 1:
             raise ValidityRangeError("deletion averages need n >= 1")
         if k != 2:
             raise DomainError("deletion averages are stated for k = 2")
-        channels = 1 if spec == RADIUS_10 else 2
-        return BoundResult(channels * (1 + Fraction(4 * (n - 1), 9)), AVERAGE,
-                           "n >= 1")
+        return BoundResult(len(SHORTENED[spec]) * (1 + Fraction(4 * (n - 1), 9)),
+                           AVERAGE, "n >= 1")
     return BoundResult(Fraction(sub_ball_pairs(n, k, spec), (k + 1) ** n),
                        AVERAGE, "n >= 0")
 

@@ -267,29 +267,20 @@ def _construction(args, *reads):
     return entry, _Run(entry, args)
 
 
-#: the channels a deletion spec lets lose a bit
-_SHORTENED = {em.RADIUS_10: (0,), em.RADIUS_1: (0, 1)}
-
-
 def _cases(run, codeword):
-    """Yield (channel, position, received) spanning the error universe:
-    received rows under a substitution spec, one deletion from the
-    protected rows of a row code, one deletion from a plain word."""
-    if _is_deletion(run.spec) and run.rows_input:
-        yield from deletion_mod.deletion_outputs(codeword, _SHORTENED[run.spec])
+    """Yield (channel, position, received), one per case of the error
+    universe, in no set order: received rows under a substitution spec,
+    one deletion from the shortened rows of a row code, one deletion from
+    a plain word."""
+    shortened = em.SHORTENED.get(run.spec)
+    if shortened is None:
+        for y in em.enumerate_received_rows(codeword, run.k, run.spec):
+            yield None, None, y
+    elif run.rows_input:
+        yield from deletion_mod.deletion_outputs(codeword, shortened)
     else:
-        for received in sorted(_received(run, codeword)):
-            yield None, None, received
-
-
-def _received(run, codeword):
-    """The received words of _cases, unordered: one per case."""
-    if not _is_deletion(run.spec):
-        return em.enumerate_received_rows(codeword, run.k, run.spec)
-    if run.rows_input:
-        return [rows for _, _, rows in deletion_mod.deletion_outputs(
-            codeword, _SHORTENED[run.spec])]
-    return em.single_deletions(codeword)
+        for y in em.single_deletions(codeword):
+            yield None, None, y
 
 
 def _parse_received(run, text: str):
@@ -303,10 +294,6 @@ def _parse_received(run, text: str):
 
 def _format_rows(rows) -> str:
     return "/".join(format_binary(r) for r in rows)
-
-
-def _is_deletion(spec) -> bool:
-    return spec in (em.RADIUS_10, em.RADIUS_1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +357,7 @@ def _cmd_ball(args, out):
         for text in _input_items(args):
             s = parse_sequence(text, k)
             size = em.ball_size(s, k, spec)
-            closed = _is_deletion(spec) or em.has_closed_form(k, spec)
+            closed = spec in em.SHORTENED or em.has_closed_form(k, spec)
             if args.format == "text":
                 out.write(f"{size}\n")
             else:
@@ -381,16 +368,16 @@ def _cmd_ball(args, out):
     for text in _input_items(args):
         s = parse_sequence(text, k)
         if args.mode == "enumerate":
-            rendered = [_format_rows(m) if _is_deletion(spec)
+            rendered = [_format_rows(m) if spec in em.SHORTENED
                         else format_sequence(m, k)
                         for m in sorted(em.enumerate_ball(s, k, spec))]
         elif args.mode == "inbound":
-            if _is_deletion(spec):
+            if spec in em.SHORTENED:
                 raise DomainError("inbound mode applies to substitution specs")
             rendered = [format_sequence(m, k)
                         for m in sorted(em.enumerate_in_ball(s, k, spec))]
         else:  # received
-            if _is_deletion(spec):
+            if spec in em.SHORTENED:
                 raise DomainError("received mode applies to substitution specs")
             rendered = [_format_rows(rows)
                         for rows in sorted(em.enumerate_received_rows(s, k, spec))]
@@ -515,7 +502,8 @@ def _verify_construction(args, out):
                 f"enumerated {count} codewords but the size formula gives "
                 f"{expected}")
         report = oracle_mod.exhaustive_decode_check(
-            list(word_of), lambda target: _received(run, word_of[target]),
+            list(word_of),
+            lambda target: (y for _, _, y in _cases(run, word_of[target])),
             decode)
         emitter = _Emitter(args.format, out,
                            ("construction", "codewords", "cases", "failures", "ok"))
@@ -537,25 +525,21 @@ def _verify_construction(args, out):
     failures = 0
     count = 0
     for target, word in pairs:
-        # several cases of one codeword often give the same received word:
-        # decode each once, as oracle.exhaustive_decode_check does
-        verdicts: dict = {}  # received -> (ok, rendered)
-        for channel, position, received in _cases(run, word):
-            count += 1
-            if received not in verdicts:
-                try:
-                    decoded = decode(received)
-                    verdicts[received] = (decoded == target,
-                                          format_sequence(decoded, run.alphabet))
-                except DomainError as exc:
-                    verdicts[received] = (False, f"error: {exc}")
-            ok, rendered = verdicts[received]
-            failures += 0 if ok else 1
+        cases = sorted(_cases(run, word))
+        report = oracle_mod.exhaustive_decode_check(
+            [target], lambda _: (y for _, _, y in cases), decode)
+        count += report.cases
+        failures += len(report.failures)
+        wrong = {y: got for _, y, got in report.failures}
+        for channel, position, received in cases:
+            got = wrong.get(received, target)
             shown = (_format_rows(received) if run.rows_input
                      else format_sequence(received, run.alphabet))
             emitter.row((args.construction, format_sequence(word, run.alphabet),
-                         channel, position, shown, rendered,
-                         "ok" if ok else "fail"))
+                         channel, position, shown,
+                         f"error: {got}" if isinstance(got, Exception)
+                         else format_sequence(got, run.alphabet),
+                         "fail" if received in wrong else "ok"))
     print(f"{count} cases, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
 

@@ -69,9 +69,10 @@ def vt_membership(x, label: int) -> bool:
 
 
 def vt_enumerate(n: int, label: int):
-    for x in all_sequences(n, 1):
-        if vt_syndrome(x) % (n + 1) == label:
-            yield x
+    _check_length(n)
+    if not 0 <= label <= n:
+        raise DomainError(f"label {label} out of range for n={n}")
+    return (x for x in all_sequences(n, 1) if vt_syndrome(x) % (n + 1) == label)
 
 
 def vt_decode(y, n: int, label: int):
@@ -252,9 +253,6 @@ def vt_row_membership(s, label: int) -> bool:
 def vt_row_enumerate(n: int, label: int):
     """All codewords in lexicographic order, built from the checksum words
     of row 0: a 1 in row 0 is the letter 2, a 0 is the letter 0 or 1."""
-    _check_length(n)
-    if not 0 <= label <= n:
-        raise DomainError(f"label {label} out of range for n={n}")
     letters = ((0, 1), (2,))
     words = [s for x in vt_enumerate(n, label)
              for s in product(*[letters[b] for b in x])]

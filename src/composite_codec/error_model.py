@@ -64,12 +64,14 @@ class Total:
 
 RADIUS_10 = "d:(1,0)"  # single deletion, known to be in the first channel
 RADIUS_1 = "d:1"       # single deletion in exactly one (unknown) channel
+#: each deletion spec and the rows it may shorten
+SHORTENED = {RADIUS_10: (0,), RADIUS_1: (0, 1)}
 
 
 def parse_spec(text: str):
     """Parse "(e0,e1,...)", "t:e", "d:(1,0)" or "d:1"."""
     text = text.strip()
-    if text == RADIUS_10 or text == RADIUS_1:
+    if text in SHORTENED:
         return text
     try:
         if text.startswith("t:"):
@@ -154,10 +156,8 @@ def _check_sub_spec(k: int, spec) -> None:
         raise DomainError(f"not a substitution spec: {spec!r}")
 
 
-def _check_enumeration_cap(n: int, spec, max_n: int | None) -> None:
-    if max_n is not None:
-        cap = max_n
-    elif isinstance(spec, PerChannel) and sum(spec.budgets) <= 2:
+def _check_enumeration_cap(n: int, spec) -> None:
+    if isinstance(spec, PerChannel) and sum(spec.budgets) <= 2:
         cap = _cap(10)
     else:
         cap = _cap(8)
@@ -254,7 +254,7 @@ def sub_ball_pairs(n: int, k: int, spec) -> int:
     return _move_count(k, spec, [(range(k + 1), n, k + 1)])
 
 
-def enumerate_sub_ball(s, k: int, spec, max_n: int | None = None) -> set:
+def enumerate_sub_ball(s, k: int, spec) -> set:
     """The ball as an explicit set, built position by position.
 
     Every sequence whose per-channel (or total) substitution cost from s
@@ -264,7 +264,7 @@ def enumerate_sub_ball(s, k: int, spec, max_n: int | None = None) -> set:
     remaining budget to the prefixes that leave it.
     """
     _check_sub_spec(k, spec)
-    _check_enumeration_cap(len(s), spec, max_n)
+    _check_enumeration_cap(len(s), spec)
     _check_q2_letters(s, k)
     budget, moves = _letter_moves(k, spec)
     layer = {budget: [()]}
@@ -309,7 +309,7 @@ def _shells(row, radius: int) -> list:
     return shells
 
 
-def enumerate_received_rows(s, k: int, spec, max_n: int | None = None) -> set:
+def enumerate_received_rows(s, k: int, spec) -> set:
     """All raw row tuples obtainable within the error budget.
 
     Unlike enumerate_sub_ball this keeps column-inconsistent outputs: it is
@@ -321,7 +321,7 @@ def enumerate_received_rows(s, k: int, spec, max_n: int | None = None) -> set:
     splits give disjoint sets, since t_j is row j's distance.
     """
     _check_sub_spec(k, spec)
-    _check_enumeration_cap(len(s), spec, max_n)
+    _check_enumeration_cap(len(s), spec)
     rows = decompose_sequence(s, k)
     if isinstance(spec, PerChannel):
         balls = [[r for shell in _shells(row, e) for r in shell]
@@ -352,17 +352,21 @@ def single_deletions(x) -> set:
     return {x[:i] + x[i + 1:] for i in range(len(x))}
 
 
-def del_ball_size(s, spec) -> int:
-    """rho(s_0) for radius (1,0); rho(s_0) + rho(s_1) for radius 1."""
+def _shortened_rows(s, spec) -> tuple:
+    """The rows of s and those of them spec may shorten."""
     s = tuple(s)
     if not s:
         raise DomainError("deletion balls need n >= 1")
-    r0, r1 = decompose_sequence(s, 2)
-    if spec == RADIUS_10:
-        return runs(r0)
-    if spec == RADIUS_1:
-        return runs(r0) + runs(r1)
-    raise DomainError(f"not a deletion spec: {spec!r}")
+    rows = decompose_sequence(s, 2)
+    if spec not in SHORTENED:
+        raise DomainError(f"not a deletion spec: {spec!r}")
+    return rows, SHORTENED[spec]
+
+
+def del_ball_size(s, spec) -> int:
+    """rho(s_0) for radius (1,0); rho(s_0) + rho(s_1) for radius 1."""
+    rows, shortened = _shortened_rows(s, spec)
+    return sum(runs(rows[j]) for j in shortened)
 
 
 def enumerate_del_ball(s, spec) -> set:
@@ -371,17 +375,9 @@ def enumerate_del_ball(s, spec) -> set:
     A deletion always occurs, so the pair for radius (1,0) is
     (subsequence of s_0, s_1); radius 1 adds the mirror pairs.
     """
-    s = tuple(s)
-    if not s:
-        raise DomainError("deletion balls need n >= 1")
-    r0, r1 = decompose_sequence(s, 2)
-    if spec == RADIUS_10:
-        return {(y0, r1) for y0 in single_deletions(r0)}
-    if spec == RADIUS_1:
-        first = {(y0, r1) for y0 in single_deletions(r0)}
-        second = {(r0, y1) for y1 in single_deletions(r1)}
-        return first | second
-    raise DomainError(f"not a deletion spec: {spec!r}")
+    rows, shortened = _shortened_rows(s, spec)
+    return {rows[:j] + (y,) + rows[j + 1:]
+            for j in shortened for y in single_deletions(rows[j])}
 
 
 def _check_deletion_k(k: int) -> None:
@@ -391,7 +387,7 @@ def _check_deletion_k(k: int) -> None:
 
 def ball_size(s, k: int, spec) -> int:
     """Size of the error ball of s under any spec (deletion specs: k = 2)."""
-    if spec in (RADIUS_10, RADIUS_1):
+    if spec in SHORTENED:
         _check_deletion_k(k)
         return del_ball_size(s, spec)
     return sub_ball_size(s, k, spec)
@@ -400,7 +396,7 @@ def ball_size(s, k: int, spec) -> int:
 def enumerate_ball(s, k: int, spec) -> set:
     """The error ball of s under any spec: sequences for substitution specs,
     row pairs for the deletion specs (k = 2)."""
-    if spec in (RADIUS_10, RADIUS_1):
+    if spec in SHORTENED:
         _check_deletion_k(k)
         return enumerate_del_ball(s, spec)
     return enumerate_sub_ball(s, k, spec)

@@ -98,9 +98,10 @@ class _MisSolver:
     """Exact maximum independent set, Ostergard style.
 
     Vertices are renumbered clique by clique; c[i] holds the exact optimum
-    of the suffix {i, ..., N-1}, built from the back.  Each suffix search
-    may improve the running optimum by at most one, so it stops at the
-    first improving set, and the c[] values prune everything afterwards.
+    of the suffix {i, ..., N-1}, built from the back.  Each suffix may
+    improve the running optimum by at most one, so its search only asks
+    whether the vertices after i that i leaves free hold as many as the
+    running optimum; the witness is built from the same yes/no question.
     """
 
     def __init__(self, n_vertices: int, adj: list):
@@ -115,34 +116,29 @@ class _MisSolver:
         self.best = 0
         self._solve()
 
-    def _expand(self, cand: int, size: int) -> bool:
-        """Look in cand for vertices that, added to the size chosen ones,
-        beat the running optimum; stop at the first such set and say
-        whether one was found.
+    def _holds(self, cand: int, need: int) -> bool:
+        """Does cand hold need pairwise non-adjacent vertices?
 
         A branch is pruned before its call when its candidates cannot
         give the vertices it needs, by count or by the c[] table.
         """
-        need = self.best - size  # cand has to give more than this
-        if need < 0:
-            self.best = size
+        if need <= 0:
             return True
         adj, c = self.adj, self.c
         count = cand.bit_count()
-        while count > need:
+        while count >= need:
             low = cand & -cand
             i = low.bit_length() - 1
-            if c[i] <= need:
+            if c[i] < need:
                 return False
-            if not need:
-                self.best = size + 1
+            if need == 1:
                 return True
             cand ^= low
             count -= 1
             rest = cand & ~adj[i]
-            if (rest.bit_count() >= need
-                    and c[(rest & -rest).bit_length() - 1] >= need
-                    and self._expand(rest, size + 1)):
+            if (rest.bit_count() >= need - 1
+                    and c[(rest & -rest).bit_length() - 1] >= need - 1
+                    and self._holds(rest, need - 1)):
                 return True
         return False
 
@@ -150,28 +146,14 @@ class _MisSolver:
         suffix = 0
         for i in range(self.n - 1, -1, -1):
             suffix |= 1 << i
-            self._expand(suffix & ~self.adj[i] & ~(1 << i), 1)
+            if self._holds(suffix & ~self.adj[i] & ~(1 << i), self.best):
+                self.best += 1
             self.c[i] = self.best
-
-    def _probe(self, cand: int, need: int) -> bool:
-        """Does cand contain an independent set of the given size?"""
-        if need <= 0:
-            return True
-        adj, c = self.adj, self.c
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            i = (cand & -cand).bit_length() - 1
-            if c[i] < need:
-                return False
-            cand &= cand - 1
-            if self._probe(cand & ~adj[i], need - 1):
-                return True
-        return False
 
     def lex_smallest_witness(self) -> list:
         """The lexicographically smallest maximum independent set, built
-        vertex by vertex in original order with feasibility probes."""
+        vertex by vertex in original order: a vertex is taken when the
+        vertices it leaves free still hold the rest of an optimum."""
         chosen: list = []
         remaining = (1 << self.n) - 1
         for v in range(self.n):
@@ -179,7 +161,7 @@ class _MisSolver:
             if not (remaining >> rv) & 1:
                 continue
             rest = remaining & ~(1 << rv) & ~self.adj[rv]
-            if self._probe(rest, self.best - len(chosen) - 1):
+            if self._holds(rest, self.best - len(chosen) - 1):
                 chosen.append(v)
                 if len(chosen) == self.best:
                     break
@@ -290,8 +272,10 @@ def exhaustive_decode_check(codewords, outputs_fn, decode_fn) -> DecodeCheckRepo
     """Run decode_fn on every channel output of every codeword.
 
     outputs_fn(c) enumerates the channel outputs to test for codeword c.
-    A case fails when decode_fn(output) != c; failures are collected, not
-    raised, so callers can report all of them.  Every case is counted and
+    A case fails when decode_fn(output) != c or raises; failures are
+    (c, output, what decode_fn gave) triples, an exception it raised
+    standing for what it gave (traceback dropped), collected rather than
+    raised so callers can report all of them.  Every case is counted and
     reported, but decode_fn runs once per distinct output of a codeword
     (several error patterns often give the same output), so it must be a
     function of the output alone.
@@ -308,7 +292,7 @@ def exhaustive_decode_check(codewords, outputs_fn, decode_fn) -> DecodeCheckRepo
                 try:
                     got = decode_fn(y)
                 except Exception as exc:  # decoder crash is also a failure
-                    got = (f"raised {type(exc).__name__}: {exc}",)
+                    got = (exc.with_traceback(None),)
                 else:
                     got = None if got == c else (got,)
                 wrong[y] = got

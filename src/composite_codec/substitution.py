@@ -385,9 +385,10 @@ def checksum_membership(s, k: int, label: int = 0) -> bool:
 
 
 def checksum_enumerate(n: int, k: int, label: int = 0):
-    for s in all_sequences(n, k):
-        if checksum(s, n) == label:
-            yield s
+    _check_length(n)
+    if not 0 <= label < 2 * n + 1:
+        raise DomainError(f"label {label} out of range for n={n}")
+    return (s for s in all_sequences(n, k) if checksum(s, n) == label)
 
 
 def _one_flip_letters(column):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import functools
 import inspect
 import io
@@ -336,6 +337,79 @@ def test_verify_listing_decodes_each_received_word_once(monkeypatch, refuse):
     assert all(len(seen) == 1 for seen in verdicts.values())
     assert all(row["decoded"].startswith("error: refused") == refuse
                for row in rows)
+
+
+@pytest.mark.parametrize("args, text", [
+    (("vt", "--n", "5", "--label", "99"), "label 99 out of range for n=5"),
+    (("vt", "--n", "4", "--label", "5"), "label 5 out of range for n=4"),
+    (("lee", "--n", "4", "--label", "-1"), "label -1 out of range for n=4"),
+])
+@pytest.mark.parametrize("summary", ((), ("--summary",)), ids=("listing", "summary"))
+def test_verify_refuses_a_label_out_of_range(args, text, summary):
+    # not an empty code that passes
+    assert run_cli("verify", "--construction", *args, *summary) == (
+        1, "", f"error: {text}\n")
+
+
+# each construction at a small length: the listing and the summary replay
+# the same cases
+REPLAYS = [
+    ("c1", "--k", "3", "--n", "3", "--spec", "(1,0,1)"),
+    ("c2", "--k", "2", "--n", "4"),
+    ("lee", "--k", "2", "--n", "3"),
+    ("c3", "--n", "5"),
+    ("c4", "--m", "2"),
+    ("c5", "--n", "4"),
+    ("c6", "--m", "2"),
+    ("vt", "--n", "6"),
+    ("ternary", "--m", "3"),
+]
+
+
+def _plant(monkeypatch, exc_type):
+    """Give every construction a decoder that raises exc_type on about a
+    third of the received words, chosen by the word, and decodes the rest;
+    both replays then fail the same cases, whatever order they decode in."""
+    for name, entry in list(cli._CONSTRUCTIONS.items()):
+        def decode(run, y, stock=entry.decode):
+            if hash(y) % 3 == 0:
+                raise exc_type(f"planted, {len(y)} symbols")
+            return stock(run, y)
+        monkeypatch.setitem(cli._CONSTRUCTIONS, name,
+                            dataclasses.replace(entry, decode=decode))
+
+
+@pytest.mark.parametrize("planted", (None, core.DomainError),
+                         ids=("stock", "refusing"))
+@pytest.mark.parametrize("args", REPLAYS, ids=lambda a: a[0])
+def test_verify_listing_and_summary_count_the_same_cases(monkeypatch, args, planted):
+    if planted:
+        _plant(monkeypatch, planted)
+    code, out, err = run_cli("verify", "--construction", *args, "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    failed = sum(row["status"] == "fail" for row in rows)
+    assert err == f"{len(rows)} cases, {failed} failures\n"
+    s_code, s_out, s_err = run_cli("verify", "--construction", *args,
+                                   "--summary", "--format", "json")
+    summary = json.loads(s_out)
+    assert (summary["cases"], summary["failures"]) == (len(rows), failed)
+    assert code == s_code == int(failed > 0)
+    assert bool(planted) == (failed > 0)
+    assert len({row["codeword"] for row in rows}) == summary["codewords"]
+
+
+def test_verify_listing_reports_a_decoder_crash_as_a_failed_case(monkeypatch):
+    # a failed case with the error's text, as a refusal is, not a traceback
+    _plant(monkeypatch, RuntimeError)
+    code, out, err = run_cli("verify", "--construction", "c3", "--n", "4",
+                             "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    failed = [row for row in rows if row["status"] == "fail"]
+    assert code == 1 and failed
+    assert err == f"{len(rows)} cases, {len(failed)} failures\n"
+    assert all(row["decoded"] == "error: planted, 2 symbols" for row in failed)
+    assert not any(row["decoded"].startswith("error:")
+                   for row in rows if row["status"] == "ok")
 
 
 def test_verify_sample_is_deterministic():
@@ -831,8 +905,9 @@ def test_bounds_check_the_first_channel_budget_length():
 def test_ball_size_without_closed_form_past_the_enumeration_cap():
     s = "012301230123"
     spec = error_model.parse_spec("(1,1,0)")
-    want = len(error_model.enumerate_sub_ball(core.parse_sequence(s, 3), 3,
-                                              spec, max_n=len(s)))
+    with error_model.raised_caps(len(s)):
+        want = len(error_model.enumerate_sub_ball(core.parse_sequence(s, 3), 3,
+                                                  spec))
     code, out, err = run_cli("ball", "size", "--k", "3", "--spec", "(1,1,0)",
                              "--format", "csv", s)
     assert (code, err) == (0, "")

@@ -268,6 +268,15 @@ def test_vt_row_enumerate_rejects_what_the_filter_rejected():
         list(vt_row_enumerate(-1, 0))
 
 
+@pytest.mark.parametrize("n, label", [(5, 99), (4, 5), (3, -1)])
+def test_vt_enumerate_rejects_a_label_out_of_range(n, label):
+    # as vt_membership does, and on the call, not on the first word
+    with pytest.raises(DomainError, match=f"^label {label} out of range for n={n}$"):
+        vt_enumerate(n, label)
+    with pytest.raises(DomainError, match=f"^label {label} out of range for n={n}$"):
+        vt_membership((0,) * n, label)
+
+
 def _entries_checked(check, symbols, word):
     """The outcome of check, or of the plain loop the set test stands in
     for, as ("ok",) or ("raised", text)."""

@@ -28,6 +28,7 @@ from composite_codec.error_model import (
     enumerate_sub_ball,
     has_closed_form,
     parse_spec,
+    raised_caps,
     runs,
     sub_ball_pairs,
     sub_ball_size,
@@ -335,9 +336,14 @@ def test_ball_pairs_reject_a_negative_length():
         sub_ball_pairs(-1, 2, parse_spec("t:1"))
 
 
-def test_enumeration_cap():
-    with pytest.raises(SizeLimitError):
-        enumerate_sub_ball((0,) * 5, 2, parse_spec("t:1"), max_n=4)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.delenv("COMPOSITE_CODEC_CAPS", raising=False)
+    spec = parse_spec("t:1")
+    assert len(enumerate_sub_ball((0,) * 8, 2, spec)) == 9
+    with pytest.raises(SizeLimitError, match="n=9 exceeds enumeration cap 8"):
+        enumerate_sub_ball((0,) * 9, 2, spec)
+    with raised_caps(9):
+        assert len(enumerate_sub_ball((0,) * 9, 2, spec)) == 10
 
 
 def test_runs():

@@ -256,6 +256,15 @@ def test_checksum_membership_and_enumerate():
     assert total == 5 ** 2
 
 
+@pytest.mark.parametrize("n, label", [(4, -1), (2, 5), (3, 99)])
+def test_checksum_enumerate_rejects_a_label_out_of_range(n, label):
+    # as checksum_membership does, and on the call, not on the first word
+    with pytest.raises(DomainError, match=f"^label {label} out of range for n={n}$"):
+        checksum_enumerate(n, 2, label)
+    with pytest.raises(DomainError, match=f"^label {label} out of range for n={n}$"):
+        checksum_membership((0,) * n, 2, label)
+
+
 def test_checksum_decode_corrects_single_total_error():
     spec = parse_spec("t:1")
     words = list(checksum_enumerate(3, 4, 0))
