@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 from operator import add, mul
 
-from composite_codec.core import DomainError, ceil_log
+from composite_codec.core import DomainError, _check_length, _check_resolution, ceil_log
 from composite_codec.error_model import (
     RADIUS_1,
     RADIUS_10,
@@ -83,16 +83,6 @@ def _is_first_channel_single(spec, k: int) -> bool:
         return False
     _check_sub_spec(k, spec)
     return True
-
-
-def _check_length(n: int) -> None:
-    if n < 0:
-        raise DomainError(f"length n={n} is negative")
-
-
-def _check_resolution(k: int) -> None:
-    if k < 1:
-        raise DomainError(f"resolution k must be >= 1, got {k}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ OUTPUTS = ("0", "1", "2", "?")
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LN2 = math.log(2.0)
+_TINY = math.ulp(0.0)
 
 
 def _check_p(p: float) -> float:
@@ -133,10 +134,29 @@ def _divergences(dist, rows) -> list[float]:
     sum_i dist_i d_i <= capacity <= max_i d_i at dist; the lower end is
     the mutual information at dist.  Each term is x log(x/o) written as
     x log1p((x - o)/o), which keeps its relative precision when x and o
-    are close, as they all are near p = 1/2."""
+    are close, as they all are near p = 1/2.  Where a term cannot be
+    written so (p or 1 - p near 0), _term gives the terms instead."""
     out = _output(dist, rows)
-    return [sum(x * math.log1p((x - o) / o) for x, o in zip(row, out) if x > 0.0)
-            / _LN2 for row in rows]
+    try:
+        return [sum(x * math.log1p((x - o) / o) for x, o in zip(row, out) if x > 0.0)
+                / _LN2 for row in rows]
+    except (ValueError, ZeroDivisionError):
+        return [sum(_term(x, o) for x, o in zip(row, out) if x > 0.0) / _LN2
+                for row in rows]
+
+
+def _term(x: float, o: float) -> float:
+    """x log(x/o) for x > 0: as x log1p((x - o)/o) where that ratio stays
+    above -1, else as x (log x - log o), for an x so far below o that the
+    ratio rounds to -1.  An output o that underflows to 0 is read as the
+    least positive float: each product dist_i x in it rounded to 0, so
+    unless dist_i is itself that small, x and the term are of the order
+    of that float."""
+    if o > 0.0:
+        r = (x - o) / o
+        if r > -1.0:
+            return x * math.log1p(r)
+    return x * (math.log(x) - math.log(max(o, _TINY)))
 
 
 def _dot(xs, ys) -> float:

@@ -42,6 +42,8 @@ from composite_codec import oracle as oracle_mod
 from composite_codec import substitution as sub_mod
 from composite_codec.core import (
     DomainError,
+    _check_resolution,
+    _check_rows,
     all_sequences,
     decompose_sequence,
     format_binary,
@@ -286,10 +288,7 @@ def _cases(run, codeword):
 def _parse_received(run, text: str):
     if not run.rows_input:
         return parse_sequence(text, run.alphabet)
-    rows = tuple(parse_binary(part) for part in text.split("/"))
-    if len(rows) != run.k:
-        raise DomainError(f"expected {run.k} channel rows, got {len(rows)}")
-    return rows
+    return _check_rows(map(parse_binary, text.split("/")), run.k)
 
 
 def _format_rows(rows) -> str:
@@ -390,8 +389,7 @@ def _cmd_ball(args, out):
 
 
 def _cmd_bounds(args, out):
-    if args.k < 1:
-        raise DomainError(f"resolution k must be >= 1, got {args.k}")
+    _check_resolution(args.k)
     if args.table:
         _only(args, f"bounds --table {args.table}", "table", "n_min", "n_max",
               *bounds_mod.TABLE_READS[args.table])
@@ -695,7 +693,7 @@ def _add_common(sub, inputs=False):
                      default="text")
     sub.add_argument("--out", help="write output to this file")
     sub.add_argument("--caps", type=int,
-                     help="override enumeration caps (COMPOSITE_CODEC_CAPS)")
+                     help="raise each enumeration cap to at least this")
     if inputs:
         sub.add_argument("--in", dest="infile",
                          help="read inputs from this file (default: stdin)")
@@ -806,6 +804,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's limit on the digits of an int printed as text (exact
+    bounds at large n run to thousands of digits), and put it back after;
+    a Python without the limit (before 3.10.7) needs nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # built on the first call and reused: building it costs about 5 ms, more
 # than many in-process queries take
 _PARSER = None
@@ -817,7 +831,8 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
-        with em.raised_caps(getattr(args, "caps", None)), _open_out(args) as out:
+        with (em.raised_caps(getattr(args, "caps", None)), _all_digits(),
+              _open_out(args) as out):
             return DISPATCH[args.command](args, out)
     except BrokenPipeError:
         return 0

@@ -35,8 +35,7 @@ class CompositeParams:
     def __post_init__(self):
         if self.q < 2:
             raise DomainError(f"base alphabet size q must be >= 2, got {self.q}")
-        if self.k < 1:
-            raise DomainError(f"resolution k must be >= 1, got {self.k}")
+        _check_resolution(self.k)
 
     @property
     def alphabet_size(self) -> int:
@@ -112,8 +111,7 @@ def _check_q2_letters(s, k) -> None:
     (also a bool letter, which the loop accepts) is judged by the loop,
     which names the first bad letter.
     """
-    if k < 1:
-        raise DomainError(f"resolution k must be >= 1, got {k}")
+    _check_resolution(k)
     if (_INT.issuperset(map(type, s))
             and 0 <= min(s, default=0) and max(s, default=0) <= k):
         return
@@ -249,9 +247,33 @@ def ceil_log(base: int, x: int) -> int:
     return t
 
 
+# argument rules, each stated once with its one error text (the letter rule
+# is _check_q2_letters above)
+
+
 def _check_length(n: int) -> None:
     if n < 0:
         raise DomainError(f"length must be >= 0, got {n}")
+
+
+def _check_resolution(k: int) -> None:
+    if k < 1:
+        raise DomainError(f"resolution k must be >= 1, got {k}")
+
+
+def _check_label(label: int, modulus: int, n: int) -> None:
+    """label is a residue modulo modulus, the label count of a code of
+    length n."""
+    if not 0 <= label < modulus:
+        raise DomainError(f"label {label} out of range for n={n}")
+
+
+def _check_rows(rows, k: int) -> tuple:
+    """The k received rows, as a tuple of tuples."""
+    rows = tuple(map(tuple, rows))
+    if len(rows) != k:
+        raise DomainError(f"expected {k} rows, got {len(rows)}")
+    return rows
 
 
 def all_sequences(n: int, k: int):

@@ -26,7 +26,10 @@ from composite_codec.core import (
     _BITS,
     UNKNOWN,
     DomainError,
+    _check_label,
     _check_length,
+    _check_q2_letters,
+    _check_rows,
     all_sequences,
     ceil_log,
     decompose_sequence,
@@ -63,15 +66,13 @@ def vt_syndrome(x) -> int:
 def vt_membership(x, label: int) -> bool:
     _check_binary(x)
     n = len(x)
-    if not 0 <= label <= n:
-        raise DomainError(f"label {label} out of range for n={n}")
+    _check_label(label, n + 1, n)
     return vt_syndrome(x) % (n + 1) == label
 
 
 def vt_enumerate(n: int, label: int):
     _check_length(n)
-    if not 0 <= label <= n:
-        raise DomainError(f"label {label} out of range for n={n}")
+    _check_label(label, n + 1, n)
     return (x for x in all_sequences(n, 1) if vt_syndrome(x) % (n + 1) == label)
 
 
@@ -90,8 +91,7 @@ def vt_decode(y, n: int, label: int):
 
 def _vt_reinsert(y: tuple, n: int, label: int):
     """vt_decode of a binary tuple y that is known to have length n - 1."""
-    if not 0 <= label <= n:
-        raise DomainError(f"label {label} out of range for n={n}")
+    _check_label(label, n + 1, n)
     w = sum(y)
     d = (label - vt_syndrome(y)) % (n + 1)
     if d <= w:
@@ -110,11 +110,6 @@ def _vt_reinsert(y: tuple, n: int, label: int):
 
 # ---------------------------------------------------------------------------
 # ternary single-deletion syndromes (shared by the systematic constructions)
-
-
-def _check_ternary(s):
-    if any(v not in (0, 1, 2) for v in s):
-        raise DomainError(f"not a ternary word: {s!r}")
 
 
 def ascent_syndrome(s) -> int:
@@ -147,7 +142,7 @@ def ternary_redundancy(s):
     mod 3; the marker differs from the last data symbol, which frames the
     data against the tail.
     """
-    _check_ternary(s)
+    _check_q2_letters(s, 2)
     m = len(s)
     if m < 1:
         raise DomainError("need at least one data symbol")
@@ -170,7 +165,7 @@ def ternary_decode(received, m: int):
     unique reinsertion.  Unequal symbols mean the data is intact.
     """
     received = tuple(received)
-    _check_ternary(received)
+    _check_q2_letters(received, 2)
     if m < 1:
         raise DomainError("need at least one data symbol")
     width = ceil_log(3, m)
@@ -218,9 +213,7 @@ def message_length(n: int, overhead: int, span: int = 1,
 
 
 def _check_k2_rows(rows):
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != 2:
-        raise DomainError(f"expected 2 rows, got {len(rows)}")
+    rows = _check_rows(rows, 2)
     for r in rows:
         _check_binary(r)
     return rows
@@ -234,20 +227,12 @@ def _reconstruct_or_fail(rows):
     return s
 
 
-def _sequence_k2(s):
-    s = tuple(s)
-    if any(v not in (0, 1, 2) for v in s):
-        raise DomainError("composite deletion codes are defined for k = 2")
-    return s
-
-
 # -- first-channel deletion, membership-defined
 
 
 def vt_row_membership(s, label: int) -> bool:
     """Row 0 lies in the binary checksum code with the given label."""
-    s = _sequence_k2(s)
-    return vt_membership(decompose_sequence(s, 2)[0], label)
+    return vt_membership(decompose_sequence(tuple(s), 2)[0], label)
 
 
 def vt_row_enumerate(n: int, label: int):
@@ -276,8 +261,7 @@ def vt_row_decode(rows, label: int):
 
 def vt_pair_membership(s, label: int) -> bool:
     """Row 0 and row 1, concatenated, lie in one long checksum code."""
-    s = _sequence_k2(s)
-    r0, r1 = decompose_sequence(s, 2)
+    r0, r1 = decompose_sequence(tuple(s), 2)
     return vt_membership(r0 + r1, label)
 
 
@@ -314,7 +298,7 @@ def marker_row_encode(message):
     channel-0 deletion inside the data slides an equal pair into positions
     m, m+1 of row 0 -- same framing as the plain ternary codeword.
     """
-    s = _sequence_k2(message)
+    s = tuple(message)
     if not s:
         raise DomainError("message must be non-empty")
     r0, _ = decompose_sequence(s, 2)
@@ -358,7 +342,7 @@ def marker_pair_encode(message):
     the marker as a fallback frame, since no single letter differs from 1
     in both rows.
     """
-    s = _sequence_k2(message)
+    s = tuple(message)
     if not s:
         raise DomainError("message must be non-empty")
     r0, r1 = decompose_sequence(s, 2)
@@ -430,8 +414,7 @@ def deletion_outputs(codeword, spec_channels):
     spec_channels: (0,) for first-channel-only budgets, (0, 1) when either
     channel may lose a bit.  Yields (channel, position, rows).
     """
-    s = _sequence_k2(codeword)
-    r0, r1 = decompose_sequence(s, 2)
+    r0, r1 = decompose_sequence(tuple(codeword), 2)
     for channel in spec_channels:
         row = (r0, r1)[channel]
         for pos in range(len(row)):

@@ -16,7 +16,6 @@ N(n; rho; w), V(n; w) and the channel-output vertex count.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,6 +25,7 @@ from operator import getitem
 
 from composite_codec.core import (
     DomainError,
+    _check_length,
     _check_q2_letters,
     decompose_sequence,
 )
@@ -95,8 +95,8 @@ _caps_override: int | None = None
 def raised_caps(value: int | None):
     """Raise every enumeration cap to at least value inside the block.
 
-    Takes precedence over COMPOSITE_CODEC_CAPS; None leaves the caps as
-    they are.  The previous override is restored on exit.
+    The only way to raise a cap; None leaves the caps as they are.  The
+    previous override is restored on exit.
     """
     global _caps_override
     previous = _caps_override
@@ -111,12 +111,6 @@ def raised_caps(value: int | None):
 def _cap(default: int) -> int:
     if _caps_override is not None:
         return max(default, _caps_override)
-    raised = os.environ.get("COMPOSITE_CODEC_CAPS")
-    if raised:
-        try:
-            return max(default, int(raised))
-        except ValueError:
-            pass
     return default
 
 
@@ -249,8 +243,7 @@ def sub_ball_pairs(n: int, k: int, spec) -> int:
     The count of sub_ball_size with every letter allowed at every position.
     """
     _check_sub_spec(k, spec)
-    if n < 0:
-        raise DomainError(f"length n={n} is negative")
+    _check_length(n)
     return _move_count(k, spec, [(range(k + 1), n, k + 1)])
 
 

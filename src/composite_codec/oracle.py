@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from composite_codec.core import all_sequences
+from composite_codec.core import _check_length, _check_resolution, all_sequences
 from composite_codec.error_model import PerChannel, SizeLimitError, _cap, enumerate_ball
 
 
@@ -238,13 +238,16 @@ def optimal_code_size(n: int, k: int, spec) -> OracleResult:
     """Largest code in Sigma_{k+1}^n whose error balls are pairwise disjoint.
 
     Exact and exponential: refuses spaces larger than the size cap
-    (default 1024 sequences, raise via COMPOSITE_CODEC_CAPS).
+    (default 1024 sequences, raised by error_model.raised_caps).  The
+    space holds at least 2^n sequences, so a length of at least the cap's
+    bit length is refused before (k+1)^n is computed.
     """
-    space_size = (k + 1) ** n
-    if space_size > _cap(1024):
+    _check_length(n)
+    _check_resolution(k)
+    cap = _cap(1024)
+    if n >= cap.bit_length() or (k + 1) ** n > cap:
         raise SizeLimitError(
-            f"space size {space_size} exceeds the oracle cap; "
-            "set COMPOSITE_CODEC_CAPS to raise it")
+            f"space size {k + 1}^{n} exceeds the oracle cap {cap}")
     space = list(all_sequences(n, k))
     adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
     chosen = _max_independent_set(len(space), adj)

@@ -23,7 +23,10 @@ from operator import add
 from composite_codec.core import (
     UNKNOWN,
     DomainError,
+    _check_label,
     _check_length,
+    _check_q2_letters,
+    _check_rows,
     all_sequences,
     ceil_log,
     decompose_sequence,
@@ -70,8 +73,7 @@ class TrivialCode(BinaryCode):
     corrects = 0
 
     def __init__(self, length: int):
-        if length < 0:
-            raise DomainError("length must be >= 0")
+        _check_length(length)
         self.length = length
 
     def member(self, word) -> bool:
@@ -102,12 +104,10 @@ class HammingCosetCode(BinaryCode):
     corrects = 1
 
     def __init__(self, length: int, coset: int = 0):
-        if length < 0:
-            raise DomainError("length must be >= 0")
+        _check_length(length)
         self.length = length
         self.bits = ceil_log(2, length + 1)
-        if not 0 <= coset < 2 ** self.bits:
-            raise DomainError(f"coset label {coset} out of range")
+        _check_label(coset, 2 ** self.bits, length)
         self.coset = coset
 
     def _syndrome(self, word) -> int:
@@ -239,9 +239,7 @@ def product_decode(rows, k: int, row_codes):
     or reporting an inconsistent column if row decoding does not yield a
     composite sequence.
     """
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != k:
-        raise DomainError(f"expected {k} rows, got {len(rows)}")
+    rows = _check_rows(rows, k)
     _check_row_codes(k, row_codes, len(rows[0]) if rows else 0)
     fixed = []
     for j, (code, row) in enumerate(zip(row_codes, rows)):
@@ -273,17 +271,27 @@ def fiber_map(s, k: int):
 
 
 def hamming_fiber_inners(n: int, coset: int = 0) -> dict:
-    """Hamming-coset inner codes for every possible fiber length."""
+    """Hamming-coset inner codes for every possible fiber length.
+
+    The coset is a label of the longest fiber's code; a shorter fiber
+    whose code has fewer cosets takes coset 0.
+    """
+    _check_length(n)
+    _check_label(coset, 2 ** ceil_log(2, n + 1), n)
     return {ell: HammingCosetCode(ell, coset if coset < 2 ** ceil_log(2, ell + 1) else 0)
             for ell in range(n + 1)}
 
 
 def optimal_fiber_inners(n: int) -> dict:
-    """Largest single-error inner codes, from exhaustive search (n <= 8)."""
+    """Largest single-error inner codes, from exhaustive search (n <= 8).
+
+    The longest is searched first, so a length past the search's reach
+    is refused before the shorter searches run (length 8 alone can take
+    very long)."""
     from composite_codec.oracle import optimal_binary_single_error
 
     return {ell: ExplicitCode(ell, optimal_binary_single_error(ell).witness)
-            for ell in range(n + 1)}
+            for ell in range(n, -1, -1)}
 
 
 def _inner(inners, ell: int):
@@ -300,16 +308,24 @@ def _inner(inners, ell: int):
     return code
 
 
-def fiber_membership(s, k: int, inners) -> bool:
-    """s belongs to the fiber code iff its fingerprint is an inner codeword."""
+def _check_fiber_k(k: int) -> None:
     if k < 2:
         raise DomainError("the fiber construction needs k >= 2")
-    return _inner(inners, fiber_value(s, k)).member(fiber_map(s, k))
+
+
+def fiber_membership(s, k: int, inners) -> bool:
+    """s belongs to the fiber code iff its fingerprint is an inner codeword."""
+    _check_fiber_k(k)
+    try:
+        ell, fingerprint = fiber_value(s, k), fiber_map(s, k)
+    except TypeError:
+        _check_q2_letters(s, k)  # names the letter the comparison failed on
+        raise
+    return _inner(inners, ell).member(fingerprint)
 
 
 def fiber_enumerate(n: int, k: int, inners):
-    if k < 2:
-        raise DomainError("the fiber construction needs k >= 2")
+    _check_fiber_k(k)
     for ell in range(n + 1):
         _inner(inners, ell)
     for s in all_sequences(n, k):
@@ -320,8 +336,7 @@ def fiber_enumerate(n: int, k: int, inners):
 def fiber_code_size(n: int, k: int, inner_sizes) -> int:
     """Codeword count: choose the fiber positions, fill the rest with the
     k-1 letters that are never affected, and count inner codewords."""
-    if k < 2:
-        raise DomainError("the fiber construction needs k >= 2")
+    _check_fiber_k(k)
     return sum(comb(n, ell) * (k - 1) ** (n - ell) * inner_sizes[ell]
                for ell in range(n + 1))
 
@@ -333,11 +348,8 @@ def fiber_decode(rows, k: int, inners):
     flipping the bit back) or silently toggles k-1 <-> k (invisible in the
     rows, corrected by the inner code on the fingerprint).
     """
-    if k < 2:
-        raise DomainError("the fiber construction needs k >= 2")
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != k:
-        raise DomainError(f"expected {k} rows, got {len(rows)}")
+    _check_fiber_k(k)
+    rows = _check_rows(rows, k)
     y = reconstruct_rows(rows)
     unknown = [i for i, v in enumerate(y) if v == UNKNOWN]
     if len(unknown) > 1:
@@ -379,15 +391,17 @@ def checksum(s, n: int) -> int:
 
 def checksum_membership(s, k: int, label: int = 0) -> bool:
     n = len(s)
-    if not 0 <= label < 2 * n + 1:
-        raise DomainError(f"label {label} out of range for n={n}")
-    return checksum(s, n) == label
+    _check_label(label, 2 * n + 1, n)
+    try:
+        return checksum(s, n) == label
+    except TypeError:
+        _check_q2_letters(s, k)  # names the letter the sum failed on
+        raise
 
 
 def checksum_enumerate(n: int, k: int, label: int = 0):
     _check_length(n)
-    if not 0 <= label < 2 * n + 1:
-        raise DomainError(f"label {label} out of range for n={n}")
+    _check_label(label, 2 * n + 1, n)
     return (s for s in all_sequences(n, k) if checksum(s, n) == label)
 
 
@@ -406,13 +420,10 @@ def checksum_decode(rows, k: int, label: int = 0):
     candidate levels); a silent error shifts one level by +-1 and the
     checksum residue reveals position and direction.
     """
-    rows = tuple(tuple(r) for r in rows)
-    if len(rows) != k:
-        raise DomainError(f"expected {k} rows, got {len(rows)}")
+    rows = _check_rows(rows, k)
     n = len(rows[0]) if rows else 0
     mod = 2 * n + 1
-    if not 0 <= label < mod:
-        raise DomainError(f"label {label} out of range for n={n}")
+    _check_label(label, mod, n)
     y = reconstruct_rows(rows)
     unknown = [i for i, v in enumerate(y) if v == UNKNOWN]
     if len(unknown) > 1:

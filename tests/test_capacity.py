@@ -1,5 +1,7 @@
 """Tests for the channel model and capacity computations."""
 
+import contextlib
+import io
 import math
 import os
 import random
@@ -10,7 +12,7 @@ import pytest
 
 import composite_codec
 from composite_codec.core import DomainError
-from composite_codec import capacity
+from composite_codec import capacity, cli
 from composite_codec.capacity import (
     NotConvergedError,
     blahut_arimoto,
@@ -311,3 +313,49 @@ def test_blahut_arimoto_refuses_an_uncertified_value():
     assert str(info.value).startswith(
         "Blahut-Arimoto did not certify the capacity within max_iter=2 "
         "iterations: its sandwich is ")
+
+
+#: p where some x log1p((x - o)/o) term fails: (x - o)/o rounds to -1
+_EXTREME_P = ([10.0 ** -j for j in range(1, 301)]
+              + [1.0 - 10.0 ** -j for j in range(1, 301)])
+
+
+def test_blahut_arimoto_certifies_p_near_zero_and_one():
+    for p in _EXTREME_P:
+        M = channel_matrix(p)
+        dist, bits = blahut_arimoto(M)
+        _assert_certified(M, dist, bits)
+        assert capacity_composite(p).bits - 1e-12 < bits <= math.log2(3) + 1e-15, p
+
+
+def test_blahut_arimoto_at_the_least_positive_p():
+    # p q is the least positive float and p^2 is 0, so an output
+    # underflows to 0 and (x - o)/o divides by it
+    p = 5e-324
+    dist, bits = blahut_arimoto(channel_matrix(p))
+    assert abs(sum(dist) - 1.0) < 1e-14
+    assert abs(bits - math.log2(3)) < 1e-12
+    assert abs(bits - capacity_composite(p).bits) < 1e-12
+
+
+def test_fallback_terms_equal_the_log1p_form_where_it_holds():
+    rng = random.Random(5)
+    for _ in range(2000):
+        x, o = rng.random() ** 8, rng.random() ** 8
+        r = (x - o) / o
+        if r > -1.0:
+            assert capacity._term(x, o) == x * math.log1p(r)
+    assert capacity._term(1e-30, 0.5) == 1e-30 * (math.log(1e-30) - math.log(0.5))
+    assert capacity._term(5e-324, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("args", [("--p", "1e-9"), ("--p", "5e-324"),
+                                  ("--p", "0.999999999"),
+                                  ("--sweep", "0:1e-300:2")])
+def test_capacity_oracle_at_extreme_p(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["capacity", *args, "--oracle"])
+    assert (code, err.getvalue()) == (0, "")
+    for line in out.getvalue().splitlines():
+        assert len(line.split("\t")) == 5

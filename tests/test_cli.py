@@ -879,7 +879,7 @@ def test_bounds_name_the_out_of_range_length():
     assert run_cli("bounds", "--n", "0", "--spec", "(1,1)", "--bound",
                    "asymptotic")[2] == "error: asymptotic forms need n >= 1\n"
     assert run_cli("bounds", "--n", "-1", "--spec", "(1,0)", "--bound",
-                   "gspb")[2] == "error: length n=-1 is negative\n"
+                   "gspb")[2] == "error: length must be >= 0, got -1\n"
 
 
 def test_verify_transversal_at_lengths_below_one_ends_cleanly():
@@ -1064,3 +1064,77 @@ def test_verify_lists_codewords_and_cases_in_order(args):
         else:  # by received word
             keys = [tuple(r["received"].split("/")) for r in cases]
         assert keys == sorted(keys), word
+
+
+@pytest.mark.parametrize("args, error", [
+    (("--n", "-1", "--k", "-1", "--spec", "t:2"), "length must be >= 0, got -1"),
+    (("--n", "1", "--k", "-1", "--spec", "t:1"), "resolution k must be >= 1, got -1"),
+    (("--n", "1", "--k", "0", "--spec", "t:1"), "resolution k must be >= 1, got 0"),
+])
+def test_search_checks_length_and_resolution_before_searching(args, error):
+    assert run_cli("search-optimal", *args) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("construction", ["c2", "lee"])
+def test_encode_names_an_unknown_letter_in_a_checksum_word(construction):
+    # as c1 does, and not a TypeError out of the letter arithmetic
+    for args in (("01?1",), ("--k", "3", "?")):
+        assert run_cli("encode", "--construction", construction, *args) == (
+            1, "", "error: sequence contains '?'\n")
+
+
+@pytest.mark.parametrize("label, n", [(99, 3), (4, 3), (-1, 3), (1, 0)])
+def test_verify_c2_rejects_a_label_past_the_longest_fiber(label, n):
+    # the longest fiber's Hamming code has 2^ceil(log2(n+1)) cosets
+    args = ("verify", "--construction", "c2", "--n", str(n), "--label", str(label))
+    for extra in ((), ("--summary",)):
+        assert run_cli(*args, *extra) == (
+            1, "", f"error: label {label} out of range for n={n}\n")
+
+
+def test_verify_c2_accepts_every_label_of_the_longest_fiber():
+    for label in range(4):
+        code, out, _ = run_cli("verify", "--construction", "c2", "--n", "3",
+                               "--label", str(label), "--summary")
+        assert code == 0 and out.endswith("\ttrue\n")
+
+
+def test_decode_names_the_received_row_count():
+    assert run_cli("decode", "--construction", "c1", "001") == (
+        1, "", "error: expected 2 rows, got 1\n")
+    assert run_cli("decode", "--construction", "c3", "01/011/0") == (
+        1, "", "error: expected 2 rows, got 3\n")
+
+
+def test_large_lengths_end_in_one_line_or_print_in_full():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    # refused from n and the cap, before (k+1)^n is built
+    assert run_cli("search-optimal", "--n", "10000", "--spec", "t:1") == (
+        1, "", "error: space size 3^10000 exceeds the oracle cap 1024\n")
+    assert run_cli("search-optimal", "--n", "100000000", "--spec", "t:1")[0] == 1
+    code, out, err = run_cli("bounds", "--n", "10000", "--spec", "t:1",
+                             "--bound", "gspb", "--format", "csv")
+    assert (code, err) == (0, "")
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    value = bounds.gspb_upper(10000, 2, error_model.parse_spec("t:1")).value
+    assert len(row["value"]) > 4300
+    with cli._all_digits():  # the test reads the digits back under the same lift
+        assert row["value"] == bounds.format_rational(value)
+        assert row["floor"] == str(value.numerator // value.denominator)
+    # the digit limit is lifted for the dispatch only
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_the_environment_does_not_raise_a_cap(monkeypatch):
+    monkeypatch.setenv("COMPOSITE_CODEC_CAPS", "4096")
+    refused = ("ball", "enumerate", "--k", "2", "--spec", "t:2", "0" * 9)
+    assert run_cli(*refused) == (1, "", "error: n=9 exceeds enumeration cap 8\n")
+    assert run_cli(*refused, "--caps", "9")[0] == 0
+
+
+def test_optimal_inner_codes_past_their_reach_are_refused_at_once():
+    # the length-9 search is refused before the (very long) length-8 one runs
+    for word in ("0" * 9, "012012012012"):
+        assert run_cli("encode", "--construction", "c2", "--inner", "optimal", word) == (
+            1, "", "error: optimal_binary_single_error supports length <= 8\n")

@@ -1,15 +1,19 @@
 """Tests for composite alphabets, decomposition and reconstruction."""
 
+import os
 from itertools import product
 
 import pytest
 
+import composite_codec
 from composite_codec.core import (
     UNKNOWN,
     CompositeLetter,
     CompositeParams,
     DomainError,
+    _check_label,
     _check_q2_letters,
+    _check_rows,
     all_sequences,
     decompose_letter,
     decompose_sequence,
@@ -321,3 +325,34 @@ def test_reconstruct_rows_reads_any_row_container():
 def test_all_sequences_rejects_a_negative_length():
     with pytest.raises(DomainError, match="length must be >= 0, got -1"):
         all_sequences(-1, 2)
+
+
+def test_label_and_row_rules():
+    _check_label(0, 1, 0)
+    _check_label(6, 7, 3)
+    for label in (-1, 7):
+        with pytest.raises(DomainError, match=f"^label {label} out of range for n=3$"):
+            _check_label(label, 7, 3)
+    assert _check_rows([[0, 1], (1, 1)], 2) == ((0, 1), (1, 1))
+    with pytest.raises(DomainError, match="^expected 3 rows, got 2$"):
+        _check_rows([[0, 1], (1, 1)], 3)
+    with pytest.raises(DomainError, match="^resolution k must be >= 1, got -4$"):
+        CompositeParams(k=-4)
+
+
+#: the error text of each argument rule
+RULE_TEXTS = ("length must be >= 0, got", "resolution k must be >= 1, got",
+              "out of range for n=", "rows, got", "the fiber construction needs k >= 2")
+
+
+def test_each_argument_rule_is_stated_once():
+    src = os.path.dirname(composite_codec.__file__)
+    text = ""
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text += fh.read()
+    for rule in RULE_TEXTS:
+        assert text.count(rule) == 1, rule
+    # --caps is the one way to raise a cap
+    assert "COMPOSITE_CODEC_CAPS" not in text and "os.environ" not in text

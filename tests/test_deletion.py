@@ -7,7 +7,6 @@ import pytest
 from composite_codec.core import DomainError, all_sequences, decompose_sequence
 from composite_codec.deletion import (
     _check_binary,
-    _check_ternary,
     ascent_syndrome,
     delete_at,
     deletion_outputs,
@@ -283,8 +282,7 @@ def _entries_checked(check, symbols, word):
     try:
         if check is None:
             if any(v not in symbols for v in word):
-                raise DomainError(
-                    f"not a {'binary' if len(symbols) == 2 else 'ternary'} word: {word!r}")
+                raise DomainError(f"not a binary word: {word!r}")
         else:
             check(word)
     except DomainError as exc:
@@ -292,8 +290,7 @@ def _entries_checked(check, symbols, word):
     return ("ok",)
 
 
-@pytest.mark.parametrize("check, symbols", [(_check_binary, (0, 1)),
-                                            (_check_ternary, (0, 1, 2))])
+@pytest.mark.parametrize("check, symbols", [(_check_binary, (0, 1))])
 def test_symbol_checks_match_the_plain_loop(check, symbols):
     words = [(), (0,), (1, 0, 1), (2, 1, 0), (0, 3), (1.0, 0), (True, False),
              (0, 2.0), ("0", 1), (None,), (-1,), (0, [1]), [0, 1], (0, {}),
@@ -302,3 +299,23 @@ def test_symbol_checks_match_the_plain_loop(check, symbols):
     for word in words:
         assert _entries_checked(check, symbols, word) == \
             _entries_checked(None, symbols, word), word
+
+
+def test_k2_words_name_their_bad_letter():
+    # one letter rule, core's, for ternary words and composite k = 2 words
+    for call in (lambda w: ternary_decode(w, 1), ternary_encode, marker_row_encode,
+                 marker_pair_encode, lambda w: vt_row_membership(w, 0),
+                 lambda w: vt_pair_membership(w, 0)):
+        with pytest.raises(DomainError, match="^letter 3 outside Sigma_3$"):
+            call((0, 3, 1, 2))
+        with pytest.raises(DomainError, match="^sequence contains '\\?'$"):
+            call((0, "?", 1, 2))
+
+
+def test_row_decoders_name_the_row_count():
+    for decode in (vt_row_decode, vt_pair_decode):
+        with pytest.raises(DomainError, match="^expected 2 rows, got 1$"):
+            decode(((0, 1),), 0)
+    for decode in (marker_row_decode, marker_pair_decode):
+        with pytest.raises(DomainError, match="^expected 2 rows, got 3$"):
+            decode(((0, 1), (0, 1), (1, 1)))

@@ -332,7 +332,7 @@ def test_ball_size_checks_the_letters_for_every_spec(text):
 
 
 def test_ball_pairs_reject_a_negative_length():
-    with pytest.raises(DomainError, match="negative"):
+    with pytest.raises(DomainError, match="^length must be >= 0, got -1$"):
         sub_ball_pairs(-1, 2, parse_spec("t:1"))
 
 

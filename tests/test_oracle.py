@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from composite_codec.core import all_sequences, format_sequence
+from composite_codec.core import DomainError, all_sequences, format_sequence
 from composite_codec.error_model import (
+    SizeLimitError,
     enumerate_ball,
     enumerate_del_ball,
     enumerate_sub_ball,
     parse_spec,
+    raised_caps,
 )
 from composite_codec.oracle import (
     _max_independent_set,
@@ -477,3 +479,26 @@ def test_search_keeps_the_plain_loop_table_and_witness(seed):
         fast, plain = _MisSolver(n_vertices, adj), _PlainSolver(n_vertices, adj)
         assert fast.c == plain.c
         assert fast.lex_smallest_witness() == plain.lex_smallest_witness()
+
+
+@pytest.mark.parametrize("n, k, text", [
+    (-1, -1, "length must be >= 0, got -1"),
+    (-1, 2, "length must be >= 0, got -1"),
+    (1, -1, "resolution k must be >= 1, got -1"),
+    (1, 0, "resolution k must be >= 1, got 0"),
+])
+def test_optimal_code_size_checks_length_and_resolution(n, k, text):
+    with pytest.raises(DomainError, match=f"^{text}$"):
+        optimal_code_size(n, k, parse_spec("t:1"))
+
+
+def test_optimal_code_size_refuses_a_long_space_from_its_length():
+    # 3^6 = 729 fits the cap of 1024, 3^7 does not; 2^10 = 1024 fits it
+    assert optimal_code_size(6, 2, parse_spec("(0,0)")).size == 729
+    assert optimal_code_size(10, 1, parse_spec("(0)")).size == 1024
+    for n, k in ((7, 2), (11, 1), (10 ** 9, 1), (10 ** 9, 2)):
+        with pytest.raises(SizeLimitError,
+                           match=f"^space size {k + 1}\\^{n} exceeds the oracle cap 1024$"):
+            optimal_code_size(n, k, parse_spec("t:1"))
+    with raised_caps(2048), pytest.raises(SizeLimitError, match="cap 2048$"):
+        optimal_code_size(10 ** 9, 1, parse_spec("t:1"))

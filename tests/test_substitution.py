@@ -325,3 +325,49 @@ def test_checksum_decode_fails_on_a_column_two_flips_from_every_letter():
 def test_explicit_code_validation():
     with pytest.raises(DomainError):
         ExplicitCode(3, [(0, 0)])
+
+
+def test_hamming_codes_name_a_bad_length_or_label():
+    with pytest.raises(DomainError, match="^length must be >= 0, got -2$"):
+        HammingCosetCode(-2)
+    with pytest.raises(DomainError, match="^length must be >= 0, got -2$"):
+        TrivialCode(-2)
+    # length 4 has 2^3 cosets: labels 0..7, many of them above the length
+    assert HammingCosetCode(4, 7).coset == 7
+    for label in (8, -1):
+        with pytest.raises(DomainError, match=f"^label {label} out of range for n=4$"):
+            HammingCosetCode(4, label)
+
+
+def test_hamming_fiber_inners_check_the_coset_on_the_longest_fiber():
+    inners = hamming_fiber_inners(5, 6)
+    # the longest fibers take coset 6; fibers with fewer cosets take 0
+    assert {ell: code.coset for ell, code in inners.items()} == {
+        0: 0, 1: 0, 2: 0, 3: 0, 4: 6, 5: 6}
+    for coset in (8, 99, -1):
+        with pytest.raises(DomainError,
+                           match=f"^label {coset} out of range for n=5$"):
+            hamming_fiber_inners(5, coset)
+    with pytest.raises(DomainError, match="^length must be >= 0, got -1$"):
+        hamming_fiber_inners(-1)
+
+
+@pytest.mark.parametrize("word", [(0, 1, "?", 1), ("?",), (2, None)])
+def test_checksum_and_fiber_membership_name_a_bad_letter(word):
+    bad = next(x for x in word if not isinstance(x, int))
+    text = "^sequence contains '\\?'$" if bad == "?" else "^letter None outside Sigma_3$"
+    with pytest.raises(DomainError, match=text):
+        fiber_membership(word, 2, hamming_fiber_inners(len(word)))
+    with pytest.raises(DomainError, match=text):
+        checksum_membership(word, 2)
+
+
+@pytest.mark.parametrize("decode, extra", [
+    (product_decode, ((TrivialCode(3), TrivialCode(3)),)),
+    (fiber_decode, (hamming_fiber_inners(3),)),
+    (checksum_decode, ()),
+])
+def test_decoders_name_the_row_count(decode, extra):
+    for rows in (((0, 0, 1),), ((0, 0, 1), (0, 1, 1), (0, 1, 1))):
+        with pytest.raises(DomainError, match=f"^expected 2 rows, got {len(rows)}$"):
+            decode(rows, 2, *extra)
