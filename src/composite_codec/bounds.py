@@ -22,15 +22,16 @@ from composite_codec.core import DomainError, _check_length, _check_resolution, 
 from composite_codec.error_model import (
     RADIUS_1,
     RADIUS_10,
-    SHORTENED,
     PerChannel,
     Total,
     _check_sub_spec,
     count_v,
     enumerate_in_ball,
     runs,
+    shortened_rows,
     sub_ball_pairs,
 )
+from composite_codec.substitution import _check_fiber_k
 
 VALID_UPPER = "valid_upper"
 VALID_LOWER = "valid_lower"
@@ -193,7 +194,7 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
     """
     _check_resolution(k)
     _check_length(n)
-    if spec in SHORTENED:
+    if shortened_rows(spec, k) is not None:
         if k != 2:
             raise DomainError("deletion bounds are stated for k = 2")
         if n < 2:
@@ -236,17 +237,19 @@ def gspb_weight_rule(n: int, k: int, spec):
     Every center's ball collects weight at least 1 under the returned
     function, so the total weight over all outputs is a valid upper bound
     on code size; for the closed-form specs it reproduces gspb_upper
-    exactly.  Outputs are valid sequences for substitution specs and
-    (deleted row 0, row 1) pairs for the first-channel deletion spec.
+    exactly.  Outputs are valid sequences for substitution specs and row
+    tuples, row 0 one bit short, for the first-row deletion spec.
     """
     _check_resolution(k)
     _check_length(n)
-    if spec == RADIUS_10:
+    shortened = shortened_rows(spec, k)
+    if shortened == (0,):
+        # a deleted row has at most the runs of its source; at n = 1 each
+        # ball is the one output with an empty row 0
         def weight(output):
-            y0, _ = output
-            return Fraction(1, runs(y0))
+            return Fraction(1, runs(output[0])) if output[0] else Fraction(1)
         return weight
-    if spec == RADIUS_1:
+    if shortened is not None:
         raise DomainError("no weight rule for the either-channel deletion spec")
     if _is_first_channel_single(spec, k):
         heavy = (k - 1, k)
@@ -286,13 +289,13 @@ def gspb_weight_rule(n: int, k: int, spec):
 def average_ball(n: int, k: int, spec) -> BoundResult:
     """Average ball size over the whole space (exact rational)."""
     _check_resolution(k)
-    if spec in SHORTENED:
+    shortened = shortened_rows(spec, k)
+    if shortened is not None:
         if n < 1:
             raise ValidityRangeError("deletion averages need n >= 1")
-        if k != 2:
-            raise DomainError("deletion averages are stated for k = 2")
-        return BoundResult(len(SHORTENED[spec]) * (1 + Fraction(4 * (n - 1), 9)),
-                           AVERAGE, "n >= 1")
+        # the mean runs of row j, whose bits are 1 with chance (j+1)/(k+1)
+        runs_sum = sum((k + 1) ** 2 + (n - 1) * 2 * (j + 1) * (k - j) for j in shortened)
+        return BoundResult(Fraction(runs_sum, (k + 1) ** 2), AVERAGE, "n >= 1")
     return BoundResult(Fraction(sub_ball_pairs(n, k, spec), (k + 1) ** n),
                        AVERAGE, "n >= 0")
 
@@ -316,10 +319,10 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
       coset           -- per-channel product of Hamming cosets
       fiber           -- the fiber-map construction for (1,0,...,0)
       lee             -- total-1 via a Lee-distance-3 code; even k
-      vt_del          -- deletion (1,0): 3^n/(n+1)
-      vt1_del         -- deletion 1:     3^n/(2n+1); also serves (1,0)
-      tenengolts_del  -- systematic deletion (1,0): 3^n/3^{ceil(log3 n)+3}
-      tenengolts1_del -- systematic deletion 1:     3^n/3^{ceil(log3 2n)+5};
+      vt_del          -- deletion (1,0,...,0): (k+1)^n/(n+1)
+      vt1_del         -- deletion 1: (k+1)^n/(kn+1); also serves (1,0,...,0)
+      tenengolts_del  -- systematic deletion (1,0), k = 2: 3^n/3^{ceil(log3 n)+3}
+      tenengolts1_del -- systematic deletion 1, k = 2: 3^n/3^{ceil(log3 2n)+5};
                          also serves (1,0)
     """
     _check_resolution(k)
@@ -346,8 +349,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
     if method == "fiber":
         if not _is_first_channel_single(spec, k):
             raise DomainError("fiber bound applies to the (1,0,...,0) family")
-        if k < 2:
-            raise DomainError("fiber bound needs k >= 2")
+        _check_fiber_k(k)
         total = sum(comb(n, ell) * (k - 1) ** (n - ell)
                     * 2 ** (ell - ceil_log(2, ell + 1))
                     for ell in range(n + 1))
@@ -361,19 +363,21 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
         return BoundResult(value, VALID_LOWER, "even k")
     if method in ("vt_del", "vt1_del", "tenengolts_del", "tenengolts1_del"):
         # a d:1 code also corrects d:(1,0), not the other way round
-        served = ((RADIUS_10,) if method in ("vt_del", "tenengolts_del")
-                  else (RADIUS_10, RADIUS_1))
-        if spec not in served:
+        first = method in ("vt_del", "tenengolts_del")
+        shortened = shortened_rows(spec, k)
+        if shortened is None or first and shortened != (0,):
+            served = (RADIUS_10,) if first else (RADIUS_10, RADIUS_1)
             raise DomainError(f"{method} bound applies to {' and '.join(served)}")
-        if k != 2:
+        if k != 2 and method.startswith("tenengolts"):
             raise DomainError("deletion bounds are stated for k = 2")
         if n < 1:
             raise ValidityRangeError("deletion lower bounds need n >= 1")
+        # the labels of c3 (n + 1) and of c5 (kn + 1) split the space
         divisor = (n + 1 if method == "vt_del"
-                  else 2 * n + 1 if method == "vt1_del"
+                  else k * n + 1 if method == "vt1_del"
                   else 3 ** (ceil_log(3, n) + 3) if method == "tenengolts_del"
                   else 3 ** (ceil_log(3, 2 * n) + 5))
-        return BoundResult(Fraction(3 ** n, divisor), VALID_LOWER, "n >= 1")
+        return BoundResult(Fraction((k + 1) ** n, divisor), VALID_LOWER, "n >= 1")
     raise DomainError(f"unknown lower bound method {method!r}")
 
 

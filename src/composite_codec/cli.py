@@ -8,8 +8,8 @@ Conventions
 -----------
 * sequences are digit strings ("012340"), comma-separated above k = 9;
 * received channel rows are slash-separated binary strings ("10/11");
-* error specs: "(e0,e1,...)" per channel, "t:e" total, "d:(1,0)" / "d:1"
-  for deletions;
+* error specs: "(e0,e1,...)" per channel, "t:e" total, "d:(1,0,...,0)" /
+  "d:1" for deletions;
 * --format picks text, csv or json (one JSON object per line);
 * exit status: 0 success, 1 domain error, a file that cannot be opened
   or failed verification, 2 usage.
@@ -182,9 +182,13 @@ class _Run:
         return self._inners[n]
 
 
+def _first_row(k: int) -> str:
+    """The budget vector (1,0,...,0) with k entries, as text."""
+    return f"({','.join(['1'] + ['0'] * (k - 1))})"
+
+
 def _c1_spec(args):
-    spec = em.parse_spec(
-        args.spec or f"({','.join(['1'] + ['0'] * (args.k - 1))})")
+    spec = em.parse_spec(args.spec or _first_row(args.k))
     if not isinstance(spec, em.PerChannel):
         raise DomainError("construction c1 takes a per-channel spec")
     if any(b not in (0, 1) for b in spec.budgets):
@@ -215,18 +219,18 @@ _CONSTRUCTIONS = {
         is_member=lambda r, s: sub_mod.checksum_membership(s, r.k, r.label),
         decode=lambda r, y: sub_mod.checksum_decode(y, r.k, r.label)),
     "c3": _Construction(
-        lambda a: em.RADIUS_10, reads=("label",),
-        members=lambda r, n: deletion_mod.vt_row_enumerate(n, r.label),
-        is_member=lambda r, s: deletion_mod.vt_row_membership(s, r.label),
+        lambda a: em.parse_spec("d:" + _first_row(a.k)), reads=("k", "label"),
+        members=lambda r, n: deletion_mod.vt_row_enumerate(n, r.label, r.k),
+        is_member=lambda r, s: deletion_mod.vt_row_membership(s, r.label, r.k),
         decode=lambda r, y: deletion_mod.vt_row_decode(y, r.label)),
     "c4": _Construction(
         lambda a: em.RADIUS_10,
         encode=lambda r, msg: deletion_mod.marker_row_encode(msg),
         decode=lambda r, y: deletion_mod.marker_row_decode(y)),
     "c5": _Construction(
-        lambda a: em.RADIUS_1, reads=("label",),
-        members=lambda r, n: deletion_mod.vt_pair_enumerate(n, r.label),
-        is_member=lambda r, s: deletion_mod.vt_pair_membership(s, r.label),
+        lambda a: em.RADIUS_1, reads=("k", "label"),
+        members=lambda r, n: deletion_mod.vt_pair_enumerate(n, r.label, r.k),
+        is_member=lambda r, s: deletion_mod.vt_pair_membership(s, r.label, r.k),
         decode=lambda r, y: deletion_mod.vt_pair_decode(y, r.label)),
     "c6": _Construction(
         lambda a: em.RADIUS_1,
@@ -274,12 +278,12 @@ def _cases(run, codeword):
     universe, in no set order: received rows under a substitution spec,
     one deletion from the shortened rows of a row code, one deletion from
     a plain word."""
-    shortened = em.SHORTENED.get(run.spec)
+    shortened = em.shortened_rows(run.spec, run.k)
     if shortened is None:
         for y in em.enumerate_received_rows(codeword, run.k, run.spec):
             yield None, None, y
     elif run.rows_input:
-        yield from deletion_mod.deletion_outputs(codeword, shortened)
+        yield from deletion_mod.deletion_outputs(codeword, run.k, shortened)
     else:
         for y in em.single_deletions(codeword):
             yield None, None, y
@@ -350,13 +354,14 @@ def _cmd_transform(args, out):
 def _cmd_ball(args, out):
     spec = em.parse_spec(args.spec)
     k = args.k
+    deletion = em.shortened_rows(spec, k) is not None
     if args.mode == "size":
         emitter = _Emitter(args.format, out,
                            ("sequence", "size", "closed_form"))
         for text in _input_items(args):
             s = parse_sequence(text, k)
             size = em.ball_size(s, k, spec)
-            closed = spec in em.SHORTENED or em.has_closed_form(k, spec)
+            closed = deletion or em.has_closed_form(k, spec)
             if args.format == "text":
                 out.write(f"{size}\n")
             else:
@@ -367,16 +372,15 @@ def _cmd_ball(args, out):
     for text in _input_items(args):
         s = parse_sequence(text, k)
         if args.mode == "enumerate":
-            rendered = [_format_rows(m) if spec in em.SHORTENED
-                        else format_sequence(m, k)
+            rendered = [_format_rows(m) if deletion else format_sequence(m, k)
                         for m in sorted(em.enumerate_ball(s, k, spec))]
         elif args.mode == "inbound":
-            if spec in em.SHORTENED:
+            if deletion:
                 raise DomainError("inbound mode applies to substitution specs")
             rendered = [format_sequence(m, k)
                         for m in sorted(em.enumerate_in_ball(s, k, spec))]
         else:  # received
-            if spec in em.SHORTENED:
+            if deletion:
                 raise DomainError("received mode applies to substitution specs")
             rendered = [_format_rows(rows)
                         for rows in sorted(em.enumerate_received_rows(s, k, spec))]
@@ -585,7 +589,7 @@ def _verify_transversal(args, out):
         raise DomainError(
             f"output universe has {len(universe)} elements, closed form "
             f"gives {expected}")
-    if spec == em.RADIUS_10:
+    if spec == em.RADIUS_10 and n >= 2:
         # gspb_upper sums N(n-1; rho; w) V(n; w) outputs per (runs, weight)
         # of the deleted row; the enumerated outputs must match it
         seen = Counter((em.runs(y0), sum(y0)) for y0, _ in universe)

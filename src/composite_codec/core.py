@@ -60,8 +60,7 @@ class CompositeLetter:
     @classmethod
     def from_level(cls, k: int, sigma: int) -> "CompositeLetter":
         """q = 2 letter sigma in {0..k}: counts (k - sigma, sigma)."""
-        if not 0 <= sigma <= k:
-            raise DomainError(f"letter {sigma} outside 0..{k}")
+        _check_q2_letters((sigma,), k)
         return cls((k - sigma, sigma))
 
     @property
@@ -212,8 +211,7 @@ def parse_sequence(text: str, k: int) -> tuple:
             val = int(item)
         except ValueError:
             raise DomainError(f"bad letter {item!r}") from None
-        if not 0 <= val <= k:
-            raise DomainError(f"letter {val} outside Sigma_{k + 1}")
+        _check_q2_letters((val,), k)
         out.append(val)
     return tuple(out)
 

@@ -1,18 +1,18 @@
-"""Single-deletion-correcting codes for two-channel composite sequences.
+"""Single-deletion-correcting codes for composite sequences.
 
 Binary building block: checksum codes with membership
 sum(i * x_i) = label (mod n+1), which recover one deleted bit from the
 checksum residue.
 
-Composite constructions (k = 2 throughout):
+Composite constructions:
 
 * first-channel protection: put row 0 in a binary checksum code
-  (membership) or append a marker pair plus ternary syndrome digits
-  (systematic);
-* either-channel protection: put the concatenation row0+row1 in one long
-  checksum code (membership), or protect the concatenation with the
-  ternary syndrome machinery and a marker that also survives not knowing
-  which channel shrank (systematic).
+  (membership, any k) or append a marker pair plus ternary syndrome
+  digits (systematic, k = 2);
+* either-channel protection: put the k rows, concatenated, in one
+  checksum code of length kn (membership, any k), or protect row0+row1
+  with the ternary syndrome machinery and a marker that also survives
+  not knowing which channel shrank (systematic, k = 2).
 
 Decoders take the received rows; which channel lost a bit is visible from
 the row lengths.
@@ -29,6 +29,7 @@ from composite_codec.core import (
     _check_label,
     _check_length,
     _check_q2_letters,
+    _check_resolution,
     _check_rows,
     all_sequences,
     ceil_log,
@@ -209,14 +210,24 @@ def message_length(n: int, overhead: int, span: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# composite constructions, k = 2
+# composite constructions
 
 
-def _check_k2_rows(rows):
-    rows = _check_rows(rows, 2)
+def _short_row(rows, first: bool = False):
+    """The k received binary rows, the one that is one bit short (row 0
+    with first; the lone row at k = 1) and the length n of the others."""
+    rows = tuple(map(tuple, rows))
+    _check_resolution(len(rows))
     for r in rows:
         _check_binary(r)
-    return rows
+    lengths = list(map(len, rows))
+    if first and len(rows) > 1 and lengths[0] != lengths[1] - 1:
+        raise DomainError(
+            f"row 0 must be one bit short of row 1 ({lengths[0]} vs {lengths[1]})")
+    n = max(lengths) + (len(rows) == 1)
+    if lengths.count(n - 1) != 1 or lengths.count(n) != len(rows) - 1:
+        raise DomainError("exactly one row must be one bit short")
+    return rows, lengths.index(n - 1), n
 
 
 def _reconstruct_or_fail(rows):
@@ -230,15 +241,16 @@ def _reconstruct_or_fail(rows):
 # -- first-channel deletion, membership-defined
 
 
-def vt_row_membership(s, label: int) -> bool:
+def vt_row_membership(s, label: int, k: int = 2) -> bool:
     """Row 0 lies in the binary checksum code with the given label."""
-    return vt_membership(decompose_sequence(tuple(s), 2)[0], label)
+    return vt_membership(decompose_sequence(tuple(s), k)[0], label)
 
 
-def vt_row_enumerate(n: int, label: int):
+def vt_row_enumerate(n: int, label: int, k: int = 2):
     """All codewords in lexicographic order, built from the checksum words
-    of row 0: a 1 in row 0 is the letter 2, a 0 is the letter 0 or 1."""
-    letters = ((0, 1), (2,))
+    of row 0: a 1 in row 0 is the letter k, a 0 is any letter 0..k-1."""
+    _check_resolution(k)
+    letters = (tuple(range(k)), (k,))
     words = [s for x in vt_enumerate(n, label)
              for s in product(*[letters[b] for b in x])]
     words.sort()
@@ -246,45 +258,31 @@ def vt_row_enumerate(n: int, label: int):
 
 
 def vt_row_decode(rows, label: int):
-    """Correct one deletion on channel 0; channel 1 arrives intact."""
-    rows = _check_k2_rows(rows)
-    y0, y1 = rows
-    n = len(y1)
-    if len(y0) != n - 1:
-        raise DomainError(
-            f"row 0 must be one bit short of row 1 ({len(y0)} vs {n})")
-    return _reconstruct_or_fail((_vt_reinsert(y0, n, label), y1))
+    """Correct one deletion on channel 0; the other channels arrive intact."""
+    rows, _, n = _short_row(rows, first=True)
+    return _reconstruct_or_fail((_vt_reinsert(rows[0], n, label),) + rows[1:])
 
 
 # -- either-channel deletion, membership-defined
 
 
-def vt_pair_membership(s, label: int) -> bool:
-    """Row 0 and row 1, concatenated, lie in one long checksum code."""
-    r0, r1 = decompose_sequence(tuple(s), 2)
-    return vt_membership(r0 + r1, label)
+def vt_pair_membership(s, label: int, k: int = 2) -> bool:
+    """The k rows, concatenated, lie in one checksum code of length kn."""
+    return vt_membership(sum(decompose_sequence(tuple(s), k), ()), label)
 
 
-def vt_pair_enumerate(n: int, label: int):
-    for s in all_sequences(n, 2):
-        r0, r1 = decompose_sequence(s, 2)
-        if vt_membership(r0 + r1, label):
+def vt_pair_enumerate(n: int, label: int, k: int = 2):
+    for s in all_sequences(n, k):
+        if vt_pair_membership(s, label, k):
             yield s
 
 
 def vt_pair_decode(rows, label: int):
     """Correct one deletion on whichever channel came up short: a deletion
-    in either row is a single deletion in the concatenation."""
-    rows = _check_k2_rows(rows)
-    y0, y1 = rows
-    if len(y0) == len(y1) + 1:
-        n = len(y0)
-    elif len(y1) == len(y0) + 1:
-        n = len(y1)
-    else:
-        raise DomainError("exactly one row must be one bit short")
-    x = _vt_reinsert(y0 + y1, 2 * n, label)
-    return _reconstruct_or_fail((x[:n], x[n:]))
+    in any row is a single deletion in the concatenation."""
+    rows, _, n = _short_row(rows)
+    x = _vt_reinsert(sum(rows, ()), len(rows) * n, label)
+    return _reconstruct_or_fail(tuple(x[i:i + n] for i in range(0, len(x), n)))
 
 
 # -- first-channel deletion, systematic
@@ -309,12 +307,7 @@ def marker_row_encode(message):
 
 def marker_row_decode(rows):
     """Recover the message from (row 0 minus one bit, row 1 intact)."""
-    rows = _check_k2_rows(rows)
-    y0, y1 = rows
-    n = len(y1)
-    if len(y0) != n - 1:
-        raise DomainError(
-            f"row 0 must be one bit short of row 1 ({len(y0)} vs {n})")
+    (y0, y1), _, n = _short_row(_check_rows(rows, 2), first=True)
     m = message_length(n, 3)
     width = ceil_log(3, m)
     s1 = y1[:m]
@@ -359,15 +352,8 @@ def marker_pair_decode(rows):
     marker cannot differ from the data on that row (last letter 1), by the
     fixed 0 2 pattern behind it.
     """
-    rows = _check_k2_rows(rows)
-    y0, y1 = rows
-    if len(y1) == len(y0) + 1:
-        short, intact, channel = y0, y1, 0
-    elif len(y0) == len(y1) + 1:
-        short, intact, channel = y1, y0, 1
-    else:
-        raise DomainError("exactly one row must be one bit short")
-    n = len(intact)
+    (y0, y1), channel, n = _short_row(_check_rows(rows, 2))
+    short, intact = (y0, y1) if channel == 0 else (y1, y0)
     m = message_length(n, 5, span=2)
     width = ceil_log(3, 2 * m)
     pattern = (intact[m - 1], intact[m])
@@ -408,15 +394,13 @@ def marker_pair_decode(rows):
 # channel-output enumeration for harnesses
 
 
-def deletion_outputs(codeword, spec_channels):
-    """All received row pairs after one deletion.
+def deletion_outputs(codeword, k: int, shortened):
+    """All received rows after one deletion in one of the shortened rows.
 
-    spec_channels: (0,) for first-channel-only budgets, (0, 1) when either
-    channel may lose a bit.  Yields (channel, position, rows).
+    Yields (channel, position, rows), by channel, then position.
     """
-    r0, r1 = decompose_sequence(tuple(codeword), 2)
-    for channel in spec_channels:
-        row = (r0, r1)[channel]
+    rows = decompose_sequence(tuple(codeword), k)
+    for channel in shortened:
+        row = rows[channel]
         for pos in range(len(row)):
-            rows = (delete_at(row, pos), r1) if channel == 0 else (r0, delete_at(row, pos))
-            yield channel, pos, rows
+            yield channel, pos, rows[:channel] + (delete_at(row, pos),) + rows[channel + 1:]

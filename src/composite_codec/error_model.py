@@ -6,9 +6,9 @@ channels.  The ball of a sequence s collects every valid reconstruction
 reachable within the budget (invalid ones, i.e. containing '?', are not
 sequences and are excluded by definition).
 
-Deletion balls (k = 2 only) assume a deletion always occurs: the affected
-row comes back one bit short, so ball elements are row *pairs*, not
-composite sequences.
+Deletion balls assume a deletion always occurs: the affected row comes
+back one bit short and the others intact, so ball elements are row
+tuples, not composite sequences.
 
 Also home to the counting functions feeding the deletion bound: runs,
 N(n; rho; w), V(n; w) and the channel-output vertex count.
@@ -16,6 +16,7 @@ N(n; rho; w), V(n; w) and the channel-output vertex count.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,14 +65,28 @@ class Total:
 
 RADIUS_10 = "d:(1,0)"  # single deletion, known to be in the first channel
 RADIUS_1 = "d:1"       # single deletion in exactly one (unknown) channel
-#: each deletion spec and the rows it may shorten
-SHORTENED = {RADIUS_10: (0,), RADIUS_1: (0, 1)}
+_FIRST_ROW = re.compile(r"d:\(1(,0)*\)")  # d:(1,0,...,0), one entry per row
+
+
+def shortened_rows(spec, k: int):
+    """The rows a deletion spec may shorten at resolution k, None for a
+    substitution spec: any row for d:1, row 0 for d:(1,0,...,0) with k
+    entries.  The one place that knows the deletion specs' rows."""
+    if spec == RADIUS_1:
+        return tuple(range(k))
+    if not (isinstance(spec, str) and _FIRST_ROW.fullmatch(spec)):
+        return None
+    entries = spec.count(",") + 1
+    if entries != k:
+        raise DomainError(
+            f"deletion spec {spec} has {entries} entries, expected k={k}")
+    return (0,)
 
 
 def parse_spec(text: str):
-    """Parse "(e0,e1,...)", "t:e", "d:(1,0)" or "d:1"."""
+    """Parse "(e0,e1,...)", "t:e", "d:(1,0,...,0)" or "d:1"."""
     text = text.strip()
-    if text in SHORTENED:
+    if text == RADIUS_1 or _FIRST_ROW.fullmatch(text):
         return text
     try:
         if text.startswith("t:"):
@@ -329,7 +344,7 @@ def enumerate_received_rows(s, k: int, spec) -> set:
 
 
 # ---------------------------------------------------------------------------
-# deletions (k = 2)
+# deletions
 
 
 def runs(x) -> int:
@@ -345,54 +360,45 @@ def single_deletions(x) -> set:
     return {x[:i] + x[i + 1:] for i in range(len(x))}
 
 
-def _shortened_rows(s, spec) -> tuple:
+def _deletion_rows(s, k: int, spec) -> tuple:
     """The rows of s and those of them spec may shorten."""
     s = tuple(s)
     if not s:
         raise DomainError("deletion balls need n >= 1")
-    rows = decompose_sequence(s, 2)
-    if spec not in SHORTENED:
+    rows = decompose_sequence(s, k)
+    shortened = shortened_rows(spec, k)
+    if shortened is None:
         raise DomainError(f"not a deletion spec: {spec!r}")
-    return rows, SHORTENED[spec]
+    return rows, shortened
 
 
-def del_ball_size(s, spec) -> int:
-    """rho(s_0) for radius (1,0); rho(s_0) + rho(s_1) for radius 1."""
-    rows, shortened = _shortened_rows(s, spec)
+def del_ball_size(s, k: int, spec) -> int:
+    """The runs of the rows spec may shorten, summed: one output per run."""
+    rows, shortened = _deletion_rows(s, k, spec)
     return sum(runs(rows[j]) for j in shortened)
 
 
-def enumerate_del_ball(s, spec) -> set:
-    """Row pairs (y0, y1) with exactly one row one bit short.
-
-    A deletion always occurs, so the pair for radius (1,0) is
-    (subsequence of s_0, s_1); radius 1 adds the mirror pairs.
-    """
-    rows, shortened = _shortened_rows(s, spec)
+def enumerate_del_ball(s, k: int, spec) -> set:
+    """Row tuples with exactly one of the rows spec may shorten one bit
+    short and the others intact (a deletion always occurs)."""
+    rows, shortened = _deletion_rows(s, k, spec)
     return {rows[:j] + (y,) + rows[j + 1:]
             for j in shortened for y in single_deletions(rows[j])}
 
 
-def _check_deletion_k(k: int) -> None:
-    if k != 2:
-        raise DomainError("deletion balls are stated for k = 2")
-
-
 def ball_size(s, k: int, spec) -> int:
-    """Size of the error ball of s under any spec (deletion specs: k = 2)."""
-    if spec in SHORTENED:
-        _check_deletion_k(k)
-        return del_ball_size(s, spec)
-    return sub_ball_size(s, k, spec)
+    """Size of the error ball of s under any spec."""
+    if shortened_rows(spec, k) is None:
+        return sub_ball_size(s, k, spec)
+    return del_ball_size(s, k, spec)
 
 
 def enumerate_ball(s, k: int, spec) -> set:
     """The error ball of s under any spec: sequences for substitution specs,
-    row pairs for the deletion specs (k = 2)."""
-    if spec in SHORTENED:
-        _check_deletion_k(k)
-        return enumerate_del_ball(s, spec)
-    return enumerate_sub_ball(s, k, spec)
+    row tuples for deletion specs."""
+    if shortened_rows(spec, k) is None:
+        return enumerate_sub_ball(s, k, spec)
+    return enumerate_del_ball(s, k, spec)
 
 
 # ---------------------------------------------------------------------------

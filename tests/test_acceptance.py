@@ -110,7 +110,7 @@ def test_ball_sizes_match_enumeration_exhaustively():
     for n in range(1, 9):
         for s in all_sequences(n, 2):
             for spec in del_specs:
-                assert del_ball_size(s, spec) == len(enumerate_del_ball(s, spec))
+                assert del_ball_size(s, 2, spec) == len(enumerate_del_ball(s, 2, spec))
     assert time.monotonic() - started < 120.0
 
 
@@ -192,7 +192,7 @@ def test_every_construction_decodes_its_full_error_universe():
         words = list(vt_row_enumerate(n, 0))
         report = exhaustive_decode_check(
             words,
-            lambda c: [rows for _, _, rows in deletion_outputs(c, (0,))],
+            lambda c: [rows for _, _, rows in deletion_outputs(c, 2, (0,))],
             lambda rows: vt_row_decode(rows, 0),
         )
         assert report.ok, (n, report.failures[:3])
@@ -201,7 +201,7 @@ def test_every_construction_decodes_its_full_error_universe():
     for m in range(1, 6):
         for msg in product((0, 1, 2), repeat=m):
             word = marker_row_encode(msg)
-            for _, _, rows in deletion_outputs(word, (0,)):
+            for _, _, rows in deletion_outputs(word, 2, (0,)):
                 assert marker_row_decode(rows) == msg
 
     # either-row deletion, membership form, n <= 6
@@ -209,7 +209,7 @@ def test_every_construction_decodes_its_full_error_universe():
         words = list(vt_pair_enumerate(n, 0))
         report = exhaustive_decode_check(
             words,
-            lambda c: [rows for _, _, rows in deletion_outputs(c, (0, 1))],
+            lambda c: [rows for _, _, rows in deletion_outputs(c, 2, (0, 1))],
             lambda rows: vt_pair_decode(rows, 0),
         )
         assert report.ok, (n, report.failures[:3])
@@ -218,7 +218,7 @@ def test_every_construction_decodes_its_full_error_universe():
     for m in range(1, 5):
         for msg in product((0, 1, 2), repeat=m):
             word = marker_pair_encode(msg)
-            for _, _, rows in deletion_outputs(word, (0, 1)):
+            for _, _, rows in deletion_outputs(word, 2, (0, 1)):
                 assert marker_pair_decode(rows) == msg
 
     assert time.monotonic() - started < 600.0
@@ -306,7 +306,7 @@ def test_weight_rules_are_fractional_transversals():
         weight = gspb_weight_rule(n, 2, spec)
         report = check_fractional_transversal(
             list(all_sequences(n, 2)),
-            lambda s: enumerate_del_ball(s, spec),
+            lambda s: enumerate_del_ball(s, 2, spec),
             weight,
         )
         assert report.min_cover >= 1, (n, report.min_cover)
@@ -345,7 +345,7 @@ def test_counting_identities_match_brute_force():
     for n in range(2, 8):
         outputs = set()
         for s in all_sequences(n, 2):
-            outputs |= enumerate_del_ball(s, parse_spec("d:(1,0)"))
+            outputs |= enumerate_del_ball(s, 2, parse_spec("d:(1,0)"))
         assert vertex_set_size_10(n) == len(outputs)
 
     # total-run-count identity, n <= 12, 0 < w < n

@@ -34,7 +34,7 @@ from composite_codec.error_model import (
     runs,
     vertex_set_size_10,
 )
-from composite_codec.oracle import check_fractional_transversal
+from composite_codec.oracle import check_fractional_transversal, optimal_code_size
 
 
 def test_format_rational():
@@ -124,7 +124,7 @@ def test_gspb_deletion_matches_output_enumeration():
     for n in range(2, 7):
         outputs = set()
         for s in all_sequences(n, 2):
-            outputs |= enumerate_del_ball(s, parse_spec("d:(1,0)"))
+            outputs |= enumerate_del_ball(s, 2, parse_spec("d:(1,0)"))
         brute = sum((Fraction(1, runs(y0)) for y0, _ in outputs), Fraction(0))
         for text in ("d:(1,0)", "d:1"):
             assert gspb_upper(n, 2, parse_spec(text)).value == brute, (n, text)
@@ -297,11 +297,11 @@ def test_weight_rule_deletion_feasible_and_tight():
         weight = gspb_weight_rule(n, 2, spec)
         outputs = set()
         for s in all_sequences(n, 2):
-            outputs |= enumerate_del_ball(s, spec)
+            outputs |= enumerate_del_ball(s, 2, spec)
         assert len(outputs) == vertex_set_size_10(n)
         report = check_fractional_transversal(
             list(all_sequences(n, 2)),
-            lambda s: enumerate_del_ball(s, spec),
+            lambda s: enumerate_del_ball(s, 2, spec),
             weight,
         )
         assert report.feasible
@@ -382,3 +382,55 @@ def test_bound_registry_lists_every_bound_in_order():
     assert BOUNDS["lower:vt1"](8, 2, parse_spec("d:(1,0)")) == \
         lower_bound(8, 2, parse_spec("d:(1,0)"), "vt1_del")
 
+
+
+def _first_row(k):
+    return parse_spec("d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")")
+
+
+@pytest.mark.parametrize("k, top", [(1, 8), (2, 6), (3, 5), (4, 4)])
+def test_deletion_average_is_the_mean_ball_size(k, top):
+    for spec in (_first_row(k), parse_spec("d:1")):
+        for n in range(1, top + 1):
+            total = sum(len(enumerate_ball(s, k, spec)) for s in all_sequences(n, k))
+            got = average_ball(n, k, spec)
+            assert got.value == Fraction(total, (k + 1) ** n), (k, n, spec)
+            assert (got.kind, got.validity_range) == (AVERAGE, "n >= 1")
+            assert aspv(n, k, spec).value == (k + 1) ** n / got.value
+
+
+#: exact optima of the deletion specs off k = 2 (the oracle, under 1 s each)
+DELETION_OPTIMA = [
+    (1, "d:1", 4, 4), (1, "d:(1)", 6, 10), (1, "d:1", 7, 16),
+    (3, "d:(1,0,0)", 3, 34), (3, "d:(1,0,0)", 4, 120), (3, "d:1", 2, 8),
+    (3, "d:1", 3, 21), (4, "d:1", 2, 13), (4, "d:1", 3, 46),
+    (4, "d:(1,0,0,0)", 3, 74)]
+
+
+@pytest.mark.parametrize("k, text, n, size", DELETION_OPTIMA)
+def test_deletion_bounds_sandwich_the_optimum_at_any_k(k, text, n, size):
+    spec = parse_spec(text)
+    assert optimal_code_size(n, k, spec).size == size
+    first = text != "d:1" or k == 1
+    listed = {}
+    for name, bound in BOUNDS.items():
+        try:
+            listed[name] = bound(n, k, spec)
+        except DomainError:
+            pass
+    assert set(listed) == {"average", "aspv", "lower:vt1"} | ({"lower:vt"} if first else set())
+    assert listed["lower:vt1"].value == Fraction((k + 1) ** n, k * n + 1) <= size
+    if first:
+        assert listed["lower:vt"].value == Fraction((k + 1) ** n, n + 1) <= size
+    for name in ("gspb", "lower:tenengolts1") + (("lower:tenengolts",) if first else ()):
+        with pytest.raises(DomainError, match="^deletion bounds are stated for k = 2$"):
+            BOUNDS[name](n, k, spec)
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 1), (3, 1), (3, 3), (4, 2)])
+def test_first_row_weight_rule_at_any_k(k, n):
+    spec = _first_row(k)
+    report = check_fractional_transversal(
+        list(all_sequences(n, k)), lambda s: enumerate_del_ball(s, k, spec),
+        gspb_weight_rule(n, k, spec))
+    assert report.feasible and report.min_cover >= 1

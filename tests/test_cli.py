@@ -560,14 +560,17 @@ def test_verify_codebook_requires_spec(tmp_path):
      "construction c3 does not read --sample"),
     (("verify", "--construction", "c3", "--n", "4", "--seed", "3"),
      "construction c3 does not read --seed"),
-    (("verify", "--construction", "c3", "--n", "4", "--k", "3"),
-     "construction c3 does not read --k"),
+    # c3 builds its spec from --k, so it does not read --spec
+    (("verify", "--construction", "c3", "--n", "4", "--spec", "d:1"),
+     "construction c3 does not read --spec"),
     (("encode", "--construction", "ternary", "--k", "3", "0120"),
      "construction ternary does not read --k"),
     (("capacity", "--p", "0.1", "--sweep", "0.2,0.3"),
      "capacity --sweep does not read --p"),
     (("capacity", "--p", "0.1", "--plot", os.devnull),
      "capacity --p does not read --plot"),
+    (("verify", "--construction", "c4", "--m", "3", "--k", "3"),
+     "construction c4 does not read --k"),
 ])
 def test_a_flag_the_mode_does_not_read_is_one_error_line(args, error):
     assert run_cli(*args) == (1, "", f"error: {error}\n")
@@ -769,15 +772,62 @@ def test_decompose_rejects_resolution_zero():
 
 
 @pytest.mark.parametrize("args", [
-    ("ball", "enumerate", "--k", "3", "--spec", "d:1", "012"),
+    ("ball", "enumerate", "--k", "3", "--spec", "d:(1,0)", "012"),
     ("ball", "size", "--k", "3", "--spec", "d:(1,0)", "0120"),
-    ("ball", "size", "--k", "1", "--spec", "d:1", "01"),
-    ("search-optimal", "--n", "2", "--k", "3", "--spec", "d:1"),
+    ("ball", "size", "--k", "1", "--spec", "d:(1,0)", "01"),
+    ("search-optimal", "--n", "2", "--k", "4", "--spec", "d:(1,0)"),
     ("verify", "--transversal", "--n", "2", "--k", "3", "--spec", "d:(1,0)"),
 ])
 def test_deletion_balls_need_two_rows(args):
-    _one_error_line(args)
-    assert run_cli(*args)[2] == "error: deletion balls are stated for k = 2\n"
+    """d:(1,0) names two rows, so its balls need k = 2."""
+    k = args[args.index("--k") + 1]
+    assert run_cli(*args) == (
+        1, "", f"error: deletion spec d:(1,0) has 2 entries, expected k={k}\n")
+
+
+def test_deletion_specs_at_any_k():
+    assert run_cli("ball", "size", "--k", "3", "--spec", "d:1", "0123") == (0, "6\n", "")
+    assert run_cli("ball", "size", "--k", "3", "--spec", "d:(1,0,0)",
+                   "--format", "csv", "0123") == (
+        0, "sequence,size,closed_form\n0123,2,true\n", "")
+    assert run_cli("ball", "enumerate", "--k", "3", "--spec", "d:(1,0,0)", "0123") == (
+        0, "000/0011/0111\n001/0011/0111\n", "")
+    assert run_cli("ball", "size", "--k", "1", "--spec", "d:(1)", "0110") == (0, "3\n", "")
+    for mode in ("inbound", "received"):
+        assert run_cli("ball", mode, "--k", "3", "--spec", "d:1", "012") == (
+            1, "", f"error: {mode} mode applies to substitution specs\n")
+    assert run_cli("search-optimal", "--n", "3", "--k", "3",
+                   "--spec", "d:1")[1].startswith("size 21\n")
+    code, out, err = run_cli("bounds", "--n", "4", "--k", "3", "--spec", "d:1")
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[0] for line in out.splitlines()] == [
+        "average", "aspv", "lower:vt1"]
+    for bound in ("gspb", "lower:tenengolts1"):
+        assert run_cli("bounds", "--n", "4", "--k", "3", "--spec", "d:1",
+                       "--bound", bound) == (
+            1, "", "error: deletion bounds are stated for k = 2\n")
+
+
+@pytest.mark.parametrize("name, codewords, cases", [("c3", 100, 400), ("c5", 19, 228)])
+def test_c3_and_c5_read_the_resolution(name, codewords, cases):
+    assert run_cli("verify", "--construction", name, "--n", "4", "--k", "3",
+                   "--summary", "--format", "json") == (0, json.dumps({
+                       "construction": name, "codewords": codewords,
+                       "cases": cases, "failures": 0, "ok": True}) + "\n", "")
+    code, out, err = run_cli("verify", "--construction", name, "--n", "2",
+                             "--k", "4", "--sample", "2")
+    assert code == 0 and err.endswith(" 0 failures\n")
+    word = out.split("\t")[1]
+    assert run_cli("encode", "--construction", name, "--k", "4", word) == (
+        0, word + "\n", "")
+
+
+def test_transversal_of_the_first_row_deletion_at_length_one():
+    # every ball is the one output with an empty row 0; the GSPB needs n >= 2
+    assert run_cli("verify", "--transversal", "--n", "1", "--spec", "d:(1,0)") == (
+        0, "1\t2\td:(1,0)\t2\t1\t2\t\ttrue\n", "")
+    assert run_cli("verify", "--transversal", "--n", "3", "--k", "3",
+                   "--spec", "d:(1,0,0)")[0] == 0
 
 
 @pytest.mark.parametrize("spec", ["t:1", "(1,0)", "t:2", "(0,0)", "(2,1)"])

@@ -342,7 +342,10 @@ def test_label_and_row_rules():
 
 #: the error text of each argument rule
 RULE_TEXTS = ("length must be >= 0, got", "resolution k must be >= 1, got",
-              "out of range for n=", "rows, got", "the fiber construction needs k >= 2")
+              "out of range for n=", "rows, got", "the fiber construction needs k >= 2",
+              "outside Sigma_")
+#: texts of the copies those rules replaced
+RETIRED_TEXTS = ("outside 0..", "fiber bound needs")
 
 
 def test_each_argument_rule_is_stated_once():
@@ -354,5 +357,24 @@ def test_each_argument_rule_is_stated_once():
                 text += fh.read()
     for rule in RULE_TEXTS:
         assert text.count(rule) == 1, rule
+    for retired in RETIRED_TEXTS:
+        assert retired not in text, retired
     # --caps is the one way to raise a cap
     assert "COMPOSITE_CODEC_CAPS" not in text and "os.environ" not in text
+
+
+def test_letter_parsers_call_the_one_letter_rule():
+    assert parse_sequence("01?2", 2) == (0, 1, UNKNOWN, 2)
+    assert CompositeLetter.from_level(3, 2).counts == (1, 2)
+    for call, k in ((lambda k: parse_sequence("013", k), 2),
+                    (lambda k: CompositeLetter.from_level(k, 3), 2),
+                    (lambda k: parse_sequence("1", k), 0)):
+        with pytest.raises(DomainError) as got:
+            call(k)
+        with pytest.raises(DomainError) as rule:
+            _check_q2_letters((3 if k else 1,), k)
+        assert str(got.value) == str(rule.value)
+    with pytest.raises(DomainError, match="^letter 3 outside Sigma_3$"):
+        parse_sequence("013", 2)
+    with pytest.raises(DomainError, match="^bad letter 'x'$"):
+        parse_sequence("0x3", 2)

@@ -120,7 +120,7 @@ def test_vt_row_code_corrects_first_row_deletion():
                 assert vt_row_membership(s, label)
             report = exhaustive_decode_check(
                 words,
-                lambda c: [rows for _, _, rows in deletion_outputs(c, (0,))],
+                lambda c: [rows for _, _, rows in deletion_outputs(c, 2, (0,))],
                 lambda rows, _lab=label: vt_row_decode(rows, _lab),
             )
             assert report.ok, report.failures[:3]
@@ -135,7 +135,7 @@ def test_vt_pair_code_corrects_either_row_deletion():
                 assert vt_pair_membership(s, label)
             report = exhaustive_decode_check(
                 words,
-                lambda c: [rows for _, _, rows in deletion_outputs(c, (0, 1))],
+                lambda c: [rows for _, _, rows in deletion_outputs(c, 2, (0, 1))],
                 lambda rows, _lab=label: vt_pair_decode(rows, _lab),
             )
             assert report.ok, report.failures[:3]
@@ -195,7 +195,7 @@ def test_marker_row_decodes_every_first_row_deletion():
     for m in (2, 3, 4):
         for msg in product((0, 1, 2), repeat=m):
             word = marker_row_encode(msg)
-            for _, _, rows in deletion_outputs(word, (0,)):
+            for _, _, rows in deletion_outputs(word, 2, (0,)):
                 assert marker_row_decode(rows) == msg
 
 
@@ -215,21 +215,21 @@ def test_marker_pair_decodes_every_deletion_in_either_row():
     for m in (2, 3):
         for msg in product((0, 1, 2), repeat=m):
             word = marker_pair_encode(msg)
-            for _, _, rows in deletion_outputs(word, (0, 1)):
+            for _, _, rows in deletion_outputs(word, 2, (0, 1)):
                 assert marker_pair_decode(rows) == msg
 
 
 def test_deletion_outputs_match_deletion_ball():
     for n in (3, 4, 5):
         for s in all_sequences(n, 2):
-            got10 = {rows for _, _, rows in deletion_outputs(s, (0,))}
-            assert got10 == enumerate_del_ball(s, parse_spec("d:(1,0)"))
-            got1 = {rows for _, _, rows in deletion_outputs(s, (0, 1))}
-            assert got1 == enumerate_del_ball(s, parse_spec("d:1"))
+            got10 = {rows for _, _, rows in deletion_outputs(s, 2, (0,))}
+            assert got10 == enumerate_del_ball(s, 2, parse_spec("d:(1,0)"))
+            got1 = {rows for _, _, rows in deletion_outputs(s, 2, (0, 1))}
+            assert got1 == enumerate_del_ball(s, 2, parse_spec("d:1"))
 
 
 def test_deletion_outputs_annotations():
-    for channel, pos, rows in deletion_outputs((0, 1, 2), (0, 1)):
+    for channel, pos, rows in deletion_outputs((0, 1, 2), 2, (0, 1)):
         assert channel in (0, 1)
         clean = decompose_sequence((0, 1, 2), 2)
         assert rows[channel] == delete_at(clean[channel], pos)
@@ -313,9 +313,100 @@ def test_k2_words_name_their_bad_letter():
 
 
 def test_row_decoders_name_the_row_count():
+    # the checksum decoders read k from the row count; the marker codes are k = 2
     for decode in (vt_row_decode, vt_pair_decode):
-        with pytest.raises(DomainError, match="^expected 2 rows, got 1$"):
-            decode(((0, 1),), 0)
+        with pytest.raises(DomainError, match="^resolution k must be >= 1, got 0$"):
+            decode((), 0)
     for decode in (marker_row_decode, marker_pair_decode):
         with pytest.raises(DomainError, match="^expected 2 rows, got 3$"):
             decode(((0, 1), (0, 1), (1, 1)))
+
+
+def _rows_by_letter(s, k):
+    """Row j of letter sigma is [sigma >= k - j], read letter by letter."""
+    return tuple(tuple(int(x >= k - j) for x in s) for j in range(k))
+
+
+def _first_row(k):
+    return "d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")"
+
+
+@pytest.mark.parametrize("k, top", [(1, 7), (2, 5), (3, 4), (4, 3)])
+def test_deletion_outputs_match_deletion_ball_at_any_k(k, top):
+    for n in range(1, top + 1):
+        for s in all_sequences(n, k):
+            rows = _rows_by_letter(s, k)
+            for text, shortened in ((_first_row(k), (0,)), ("d:1", tuple(range(k)))):
+                outputs = list(deletion_outputs(s, k, shortened))
+                assert [(j, p) for j, p, _ in outputs] == [
+                    (j, p) for j in shortened for p in range(n)]
+                for j, p, got in outputs:
+                    assert got == rows[:j] + (rows[j][:p] + rows[j][p + 1:],) + rows[j + 1:]
+                assert {got for _, _, got in outputs} == enumerate_del_ball(
+                    s, k, parse_spec(text))
+
+
+def _row_code_filter(n, label, k):
+    """c3 by filtering the space: row 0 in the checksum code of length n."""
+    return [s for s in all_sequences(n, k)
+            if vt_syndrome(_rows_by_letter(s, k)[0]) % (n + 1) == label]
+
+
+def _joined_code_filter(n, label, k):
+    """c5 by filtering the space: the k joined rows in the checksum code of
+    length kn, modulo kn + 1."""
+    return [s for s in all_sequences(n, k)
+            if vt_syndrome(sum(_rows_by_letter(s, k), ())) % (k * n + 1) == label]
+
+
+@pytest.mark.parametrize("k, top", [(1, 7), (3, 5), (4, 4)])
+def test_c3_and_c5_decode_every_deletion_at_any_k(k, top):
+    for n in range(1, top + 1):
+        for label in range(n + 1):
+            words = list(vt_row_enumerate(n, label, k))
+            assert words == _row_code_filter(n, label, k)
+            assert all(vt_row_membership(s, label, k) for s in words)
+            report = exhaustive_decode_check(
+                words, lambda c: [r for _, _, r in deletion_outputs(c, k, (0,))],
+                lambda rows, _lab=label: vt_row_decode(rows, _lab))
+            assert report.ok, (n, label, report.failures[:3])
+        for label in range(k * n + 1):
+            words = list(vt_pair_enumerate(n, label, k))
+            assert words == _joined_code_filter(n, label, k)
+            assert all(vt_pair_membership(s, label, k) for s in words)
+            report = exhaustive_decode_check(
+                words, lambda c: [r for _, _, r in deletion_outputs(c, k, range(k))],
+                lambda rows, _lab=label: vt_pair_decode(rows, _lab))
+            assert report.ok, (n, label, report.failures[:3])
+
+
+@pytest.mark.parametrize("k, n", [(1, 4), (3, 3), (4, 3)])
+def test_c3_and_c5_labels_partition_the_space(k, n):
+    # so some label holds (k+1)^n / (n+1), resp. (k+1)^n / (kn+1), words
+    assert sum(len(list(vt_row_enumerate(n, lab, k))) for lab in range(n + 1)) == (k + 1) ** n
+    assert sum(len(list(vt_pair_enumerate(n, lab, k)))
+               for lab in range(k * n + 1)) == (k + 1) ** n
+
+
+@pytest.mark.parametrize("decode, rows, label, text", [
+    (vt_row_decode, ((0, 1), (0, 1), (0, 1)), 0, "row 0 must be one bit short of row 1 (2 vs 2)"),
+    (vt_row_decode, ((0, 1), (0, 1, 1), (0, 1)), 0, "exactly one row must be one bit short"),
+    (vt_row_decode, ((0,), (0, 1), (0, 1, 1)), 0, "exactly one row must be one bit short"),
+    (vt_pair_decode, ((0, 1), (0, 1), (0, 1)), 0, "exactly one row must be one bit short"),
+    (vt_pair_decode, ((0,), (0, 1), (0, 1, 1)), 0, "exactly one row must be one bit short"),
+    (vt_pair_decode, ((0, 1), (0,), (0,)), 0, "exactly one row must be one bit short"),
+    (vt_pair_decode, ((0, 1), (0, 1, 1), (0, 2, 1)), 0, "not a binary word: (0, 2, 1)"),
+    (vt_row_decode, ((0, 1), (0, 1, 1), (0, 1, 1)), 9, "label 9 out of range for n=3"),
+    (vt_pair_decode, ((0, 1), (0, 1, 1), (0, 1, 1)), 10, "label 10 out of range for n=9"),
+])
+def test_row_decoders_name_the_short_row_at_any_k(decode, rows, label, text):
+    with pytest.raises(DomainError) as exc:
+        decode(rows, label)
+    assert str(exc.value) == text
+
+
+def test_row_decoders_at_one_row_read_the_lone_row_as_short():
+    # at k = 1 both codes are the checksum code of the lone row
+    for x in vt_enumerate(5, 2):
+        for y in single_deletions(x):
+            assert vt_row_decode((y,), 2) == vt_pair_decode((y,), 2) == x

@@ -30,6 +30,7 @@ from composite_codec.error_model import (
     parse_spec,
     raised_caps,
     runs,
+    shortened_rows,
     sub_ball_pairs,
     sub_ball_size,
     vertex_set_size_10,
@@ -42,11 +43,15 @@ def test_parse_spec_forms():
     assert parse_spec("t:2") == Total(2)
     assert parse_spec("d:(1,0)") == "d:(1,0)"
     assert parse_spec("d:1") == "d:1"
+    for text in ("d:(1)", "d:(1,0,0)", "d:(1,0,0,0,0)"):
+        assert parse_spec(f" {text} ") == text
+    assert (str(parse_spec("d:(1,0)")), repr(parse_spec("d:1"))) == ("d:(1,0)", "'d:1'")
     with pytest.raises(DomainError):
         parse_spec("nope")
 
 
-@pytest.mark.parametrize("text", ["t:x", "()", "(1,x)", "t:", "(1,,0)", "t:1.5"])
+@pytest.mark.parametrize("text", ["t:x", "()", "(1,x)", "t:", "(1,,0)", "t:1.5",
+                                  "d:2", "d:(0,1)", "d:(1,1)", "d:()", "d:(1,0", "d:( 1,0)"])
 def test_parse_spec_rejects_malformed_specs(text):
     with pytest.raises(DomainError):
         parse_spec(text)
@@ -359,8 +364,8 @@ def test_del_ball_size_is_run_count():
     for n in (2, 3, 4, 5):
         for s in all_sequences(n, 2):
             rows = decompose_sequence(s, 2)
-            assert del_ball_size(s, parse_spec("d:(1,0)")) == runs(rows[0])
-            assert del_ball_size(s, parse_spec("d:1")) == runs(rows[0]) + runs(rows[1])
+            assert del_ball_size(s, 2, parse_spec("d:(1,0)")) == runs(rows[0])
+            assert del_ball_size(s, 2, parse_spec("d:1")) == runs(rows[0]) + runs(rows[1])
 
 
 def test_del_ball_enumeration_matches_size():
@@ -368,26 +373,69 @@ def test_del_ball_enumeration_matches_size():
         for s in all_sequences(n, 2):
             for text in ("d:(1,0)", "d:1"):
                 spec = parse_spec(text)
-                ball = enumerate_del_ball(s, spec)
-                assert len(ball) == del_ball_size(s, spec)
+                ball = enumerate_del_ball(s, 2, spec)
+                assert len(ball) == del_ball_size(s, 2, spec)
 
 
 def test_deletion_balls_are_stated_for_two_rows():
-    s = (0, 1, 2, 1)
-    for spec in (parse_spec("d:(1,0)"), parse_spec("d:1")):
-        assert ball_size(s, 2, spec) == del_ball_size(s, spec)
-        assert enumerate_ball(s, 2, spec) == enumerate_del_ball(s, spec)
-        for k in (1, 3, 4):
-            with pytest.raises(DomainError, match="stated for k = 2"):
-                ball_size(s, k, spec)
-            with pytest.raises(DomainError, match="stated for k = 2"):
-                enumerate_ball(s, k, spec)
+    """d:(1,0) names two rows; d:1 and d:(1,0,...,0) with k entries hold at any k."""
+    s = (0, 1, 1, 0)
+    spec = parse_spec("d:(1,0)")
+    assert ball_size(s, 2, spec) == del_ball_size(s, 2, spec) == 1
+    assert enumerate_ball(s, 2, spec) == enumerate_del_ball(s, 2, spec)
+    for k in (1, 3, 4):
+        for fn in (ball_size, enumerate_ball, del_ball_size, enumerate_del_ball):
+            with pytest.raises(DomainError, match=(
+                    rf"^deletion spec d:\(1,0\) has 2 entries, expected k={k}$")):
+                fn(s, k, spec)
+        for text in ("d:1", "d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")"):
+            spec_k = parse_spec(text)
+            assert ball_size(s, k, spec_k) == del_ball_size(s, k, spec_k)
+            assert enumerate_ball(s, k, spec_k) == enumerate_del_ball(s, k, spec_k)
+
+
+def test_shortened_rows_is_the_one_deletion_rule():
+    for k in (1, 2, 3, 4, 7):
+        assert shortened_rows("d:1", k) == tuple(range(k))
+        assert shortened_rows("d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")", k) == (0,)
+        for text in ("(1" + ",0" * (k - 1) + ")", "t:1"):
+            assert shortened_rows(parse_spec(text), k) is None
+    assert shortened_rows("not a spec", 2) is None
+    with pytest.raises(DomainError, match=r"^deletion spec d:\(1,0\) has 2 entries, expected k=3$"):
+        shortened_rows("d:(1,0)", 3)
+    with pytest.raises(DomainError, match="^not a deletion spec: 't:1'$"):
+        del_ball_size((0, 1), 2, "t:1")
+
+
+def _rows_by_letter(s, k):
+    """Row j of letter sigma is [sigma >= k - j], read letter by letter."""
+    return tuple(tuple(int(x >= k - j) for x in s) for j in range(k))
+
+
+DELETION_GRID = [(1, 8), (2, 6), (3, 5), (4, 4)]  # (k, largest n)
+
+
+@pytest.mark.parametrize("k, top", DELETION_GRID)
+def test_deletion_ball_size_matches_enumeration_at_any_k(k, top):
+    first = parse_spec("d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")")
+    for n in range(1, top + 1):
+        for s in all_sequences(n, k):
+            rows = _rows_by_letter(s, k)
+            for spec, shortened in ((first, (0,)), (parse_spec("d:1"), range(k))):
+                # each deletion position of each row the spec may shorten
+                brute = {rows[:j] + (rows[j][:p] + rows[j][p + 1:],) + rows[j + 1:]
+                         for j in shortened for p in range(n)}
+                ball = enumerate_del_ball(s, k, spec)
+                assert ball == brute
+                assert del_ball_size(s, k, spec) == ball_size(s, k, spec) == len(ball)
+    with pytest.raises(DomainError, match="^deletion balls need n >= 1$"):
+        del_ball_size((), k, first)
 
 
 def test_del_ball_shapes():
-    ball = enumerate_del_ball((0, 1, 2), parse_spec("d:(1,0)"))
+    ball = enumerate_del_ball((0, 1, 2), 2, parse_spec("d:(1,0)"))
     assert ball == {((0, 0), (0, 1, 1)), ((0, 1), (0, 1, 1))}
-    for r0, r1 in enumerate_del_ball((0, 1, 2), parse_spec("d:1")):
+    for r0, r1 in enumerate_del_ball((0, 1, 2), 2, parse_spec("d:1")):
         assert {len(r0), len(r1)} == {2, 3}
 
 
@@ -444,7 +492,7 @@ def test_vertex_set_size_10_matches_brute_force():
     for n in (2, 3, 4, 5, 6):
         vertices = set()
         for s in all_sequences(n, 2):
-            for out in enumerate_del_ball(s, parse_spec("d:(1,0)")):
+            for out in enumerate_del_ball(s, 2, parse_spec("d:(1,0)")):
                 vertices.add(out)
         assert vertex_set_size_10(n) == len(vertices)
         assert vertex_set_size_10(n) == 2 * 3 ** (n - 1) + (n - 1) * 3 ** (n - 2)

@@ -107,7 +107,7 @@ def test_optimal_witness_balls_are_disjoint():
 def test_optimal_deletion_witness_balls_are_disjoint():
     spec = parse_spec("d:1")
     result = optimal_code_size(3, 2, spec)
-    balls = [enumerate_del_ball(c, spec) for c in result.witness]
+    balls = [enumerate_del_ball(c, 2, spec) for c in result.witness]
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
             assert not balls[i] & balls[j]
@@ -283,7 +283,7 @@ def _pairwise_adjacency(balls):
 def test_conflict_graph_equals_pairwise_intersections(n, k, text):
     spec = parse_spec(text)
     if text.startswith("d:"):
-        balls = [enumerate_del_ball(s, spec) for s in all_sequences(n, k)]
+        balls = [enumerate_del_ball(s, k, spec) for s in all_sequences(n, k)]
     else:
         balls = [enumerate_sub_ball(s, k, spec) for s in all_sequences(n, k)]
     assert conflict_graph(balls) == _pairwise_adjacency(balls)
