@@ -76,6 +76,12 @@ def is_prime_power(x: int) -> bool:
     return True  # x itself is prime
 
 
+def _check_two_rows(k: int, what: str) -> None:
+    """The one rule of the formulas stated for k = 2 only."""
+    if k != 2:
+        raise DomainError(f"{what} is stated for k = 2, got k={k}")
+
+
 def _is_first_channel_single(spec, k: int) -> bool:
     """Is spec the (1,0,...,0) family?  Such a vector with other than k
     entries raises DomainError."""
@@ -90,24 +96,20 @@ def _is_first_channel_single(spec, k: int) -> bool:
 # upper bounds
 
 
-def sphere_packing_upper(n: int, spec) -> BoundResult:
+def sphere_packing_upper(n: int, k: int, spec) -> BoundResult:
     """3^n / C(n, min(e0,e1)) or 3^n / C(n, e); k = 2 only."""
     _check_length(n)
-    if isinstance(spec, PerChannel):
-        if len(spec.budgets) != 2:
-            raise DomainError("sphere packing bound is stated for k = 2")
-        e = min(spec.budgets)
-    elif isinstance(spec, Total):
-        e = spec.errors
-    else:
-        raise DomainError(f"not a substitution spec: {spec!r}")
+    _check_sub_spec(k, spec)
+    _check_two_rows(k, "sphere packing bound")
+    e = min(spec.budgets) if isinstance(spec, PerChannel) else spec.errors
     if e > n:
         raise DomainError(f"error budget {e} exceeds length {n}")
     return BoundResult(Fraction(3 ** n, comb(n, e)), VALID_UPPER, "e <= n")
 
 
-def asymptotic_upper(n: int, spec, tighter: bool = False) -> BoundResult:
-    """Levenshtein-style asymptotic estimates; never finite-n valid.
+def asymptotic_upper(n: int, k: int, spec, tighter: bool = False) -> BoundResult:
+    """Levenshtein-style asymptotic estimates; never finite-n valid; k = 2
+    only.
 
     PerChannel: 3^n e0^e0 e1^e1 / (n/3)^{e0+e1}; with tighter=True the
     (2n/3)^{e0+e1} variant, requiring 0 < e1 <= e0 <= 2 e1.
@@ -115,9 +117,9 @@ def asymptotic_upper(n: int, spec, tighter: bool = False) -> BoundResult:
     """
     if n < 1:
         raise ValidityRangeError("asymptotic forms need n >= 1")
+    _check_sub_spec(k, spec)
+    _check_two_rows(k, "asymptotic bound")
     if isinstance(spec, PerChannel):
-        if len(spec.budgets) != 2:
-            raise DomainError("asymptotic bound is stated for k = 2")
         e0, e1 = spec.budgets
         if e0 < 1 or e1 < 1:
             raise DomainError("asymptotic per-channel form needs e0, e1 > 0")
@@ -126,13 +128,11 @@ def asymptotic_upper(n: int, spec, tighter: bool = False) -> BoundResult:
             raise ValidityRangeError("tighter form needs e1 <= e0 <= 2*e1")
         value = Fraction(3 ** n) * e0 ** e0 * e1 ** e1 / denom_base ** (e0 + e1)
         return BoundResult(value, ASYMPTOTIC, "n -> infinity")
-    if isinstance(spec, Total):
-        e = spec.errors
-        if e < 1 or e % 2 != 0:
-            raise ValidityRangeError("asymptotic total form needs positive even e")
-        value = Fraction(3 ** n) / Fraction(4 * n, 3 * e) ** e
-        return BoundResult(value, ASYMPTOTIC, "n -> infinity")
-    raise DomainError(f"not a substitution spec: {spec!r}")
+    e = spec.errors
+    if e < 1 or e % 2 != 0:
+        raise ValidityRangeError("asymptotic total form needs positive even e")
+    value = Fraction(3 ** n) / Fraction(4 * n, 3 * e) ** e
+    return BoundResult(value, ASYMPTOTIC, "n -> infinity")
 
 
 def _sqrt_bracket(x: Fraction, steps: int = 40) -> tuple[Fraction, Fraction]:
@@ -150,8 +150,8 @@ def _sqrt_bracket(x: Fraction, steps: int = 40) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _deletion_gspb(n: int) -> Fraction:
-    """sum over rho of I_rho / rho, I_rho = sum_w N(n-1; rho; w) V(n; w).
+def _deletion_gspb(n: int, k: int) -> Fraction:
+    """sum over rho of I_rho / rho, I_rho = sum_w N(n-1; rho; w) V(n; w; k).
 
     Each I_rho is summed in integers and one Fraction is formed over
     lcm(1..n-1).  With m = n - 1 and 0 < w < m, N(m; 2j+2; w) is
@@ -170,14 +170,14 @@ def _deletion_gspb(n: int) -> Fraction:
         if w > 1:
             head = [1, *map(add, head, head[1:]), 1]
         top = m - w - 1
-        tail = [count_v(n, w) + (count_v(n, m - w) if 2 * w < m else 0)]
+        tail = [count_v(n, w, k) + (count_v(n, m - w, k) if 2 * w < m else 0)]
         for j in range(w):
             tail.append(tail[-1] * (top - j) // (j + 1))
         even[:w] = map(add, even, map(mul, head, tail))
         odd[:w] = map(add, odd, map(mul, head, tail[1:]))
         odd[:w - 1] = map(add, odd, map(mul, head[1:], tail))
     scale = lcm(*range(1, n))
-    total = scale * (count_v(n, 0) + count_v(n, m))  # rho = 1: constant rows
+    total = scale * (count_v(n, 0, k) + count_v(n, m, k))  # rho = 1: constant rows
     for j in range(half):
         total += even[j] * (scale // (j + 1))
         if 2 * j + 3 <= m:
@@ -189,17 +189,17 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
     """Generalized sphere packing upper bounds (fractional transversals).
 
     Supported: per-channel (1,0,...,0) and total-1 for any k; (1,1) for
-    k = 2 and n >= 4; total-2 for k = 2 and n >= 48; deletion radius (1,0)
-    (also the radius-1 column of the published table) for k = 2 and n >= 2.
+    k = 2 and n >= 4; total-2 for k = 2 and n >= 48; the first-row deletion
+    d:(1,0,...,0) for any k and n >= 2, the total weight of its weight
+    rule.  d:1 gets the same sum: its balls contain the first-row ones, so
+    a d:1 code is a d:(1,0,...,0) code.
     """
     _check_resolution(k)
     _check_length(n)
     if shortened_rows(spec, k) is not None:
-        if k != 2:
-            raise DomainError("deletion bounds are stated for k = 2")
         if n < 2:
             raise ValidityRangeError("deletion GSPB needs n >= 2")
-        return BoundResult(_deletion_gspb(n), VALID_UPPER, "n >= 2")
+        return BoundResult(_deletion_gspb(n, k), VALID_UPPER, "n >= 2")
     if _is_first_channel_single(spec, k):
         value = Fraction((k + 1) ** (n + 1) - (k - 1) ** (n + 1), 2 * (n + 1))
         return BoundResult(value, VALID_UPPER, "n >= 0")
@@ -209,15 +209,13 @@ def gspb_upper(n: int, k: int, spec) -> BoundResult:
             raise ValidityRangeError("total-1 GSPB needs 2kn/(k+1) > 1")
         return BoundResult(Fraction((k + 1) ** n) / denom, VALID_UPPER, "n >= 1")
     if isinstance(spec, PerChannel) and spec.budgets == (1, 1):
-        if k != 2:
-            raise DomainError("(1,1) GSPB is stated for k = 2")
+        _check_two_rows(k, "(1,1) GSPB")
         if n < 4:
             raise ValidityRangeError("(1,1) GSPB needs n >= 4")
         value = Fraction(3 ** n) / (Fraction((n - 3) ** 2, 6))
         return BoundResult(value, VALID_UPPER, "n >= 4")
     if isinstance(spec, Total) and spec.errors == 2:
-        if k != 2:
-            raise DomainError("total-2 GSPB is stated for k = 2")
+        _check_two_rows(k, "total-2 GSPB")
         if n < 48:
             raise ValidityRangeError("total-2 GSPB needs n >= 48")
         # value = g(r) * h(r) at r = sqrt(8n/6), with g(r) = r/(r-1)
@@ -368,8 +366,8 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
         if shortened is None or first and shortened != (0,):
             served = (RADIUS_10,) if first else (RADIUS_10, RADIUS_1)
             raise DomainError(f"{method} bound applies to {' and '.join(served)}")
-        if k != 2 and method.startswith("tenengolts"):
-            raise DomainError("deletion bounds are stated for k = 2")
+        if method.startswith("tenengolts"):
+            _check_two_rows(k, f"{method} bound")
         if n < 1:
             raise ValidityRangeError("deletion lower bounds need n >= 1")
         # the labels of c3 (n + 1) and of c5 (kn + 1) split the space
@@ -385,18 +383,6 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
 # the bound registry
 
 
-def _sphere(n: int, k: int, spec) -> BoundResult:
-    if k != 2:
-        raise DomainError("sphere-packing forms are stated for k = 2")
-    return sphere_packing_upper(n, spec)
-
-
-def _asymptotic(n: int, k: int, spec, tighter: bool = False) -> BoundResult:
-    if k != 2:
-        raise DomainError("asymptotic forms are stated for k = 2")
-    return asymptotic_upper(n, spec, tighter)
-
-
 def _lower(method: str):
     return lambda n, k, spec: lower_bound(n, k, spec, method)
 
@@ -406,9 +392,9 @@ def _lower(method: str):
 #: entries look the bound functions up by module name when called, so a
 #: rebound module attribute (a tracing wrapper) is the one they call.
 BOUNDS = {
-    "sphere": _sphere,
-    "asymptotic": _asymptotic,
-    "tighter": lambda n, k, spec: _asymptotic(n, k, spec, tighter=True),
+    "sphere": lambda n, k, spec: sphere_packing_upper(n, k, spec),
+    "asymptotic": lambda n, k, spec: asymptotic_upper(n, k, spec),
+    "tighter": lambda n, k, spec: asymptotic_upper(n, k, spec, tighter=True),
     "gspb": lambda n, k, spec: gspb_upper(n, k, spec),
     "average": lambda n, k, spec: average_ball(n, k, spec),
     "aspv": lambda n, k, spec: aspv(n, k, spec),

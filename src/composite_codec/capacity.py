@@ -132,26 +132,20 @@ def _divergences(dist, rows) -> list[float]:
     """d_i = D(row i || dist @ rows) in bits: one evaluation of the
     Blahut-Arimoto map.  They give the map's next point and the sandwich
     sum_i dist_i d_i <= capacity <= max_i d_i at dist; the lower end is
-    the mutual information at dist.  Each term is x log(x/o) written as
-    x log1p((x - o)/o), which keeps its relative precision when x and o
-    are close, as they all are near p = 1/2.  Where a term cannot be
-    written so (p or 1 - p near 0), _term gives the terms instead."""
+    the mutual information at dist.  _term gives each term x log(x/o)."""
     out = _output(dist, rows)
-    try:
-        return [sum(x * math.log1p((x - o) / o) for x, o in zip(row, out) if x > 0.0)
-                / _LN2 for row in rows]
-    except (ValueError, ZeroDivisionError):
-        return [sum(_term(x, o) for x, o in zip(row, out) if x > 0.0) / _LN2
-                for row in rows]
+    return [sum(_term(x, o) for x, o in zip(row, out) if x > 0.0) / _LN2
+            for row in rows]
 
 
 def _term(x: float, o: float) -> float:
     """x log(x/o) for x > 0: as x log1p((x - o)/o) where that ratio stays
-    above -1, else as x (log x - log o), for an x so far below o that the
-    ratio rounds to -1.  An output o that underflows to 0 is read as the
-    least positive float: each product dist_i x in it rounded to 0, so
-    unless dist_i is itself that small, x and the term are of the order
-    of that float."""
+    above -1, which keeps its relative precision when x and o are close,
+    as they all are near p = 1/2; else as x (log x - log o), for an x so
+    far below o that the ratio rounds to -1.  An output o that underflows
+    to 0 is read as the least positive float: each product dist_i x in it
+    rounded to 0, so unless dist_i is itself that small, x and the term
+    are of the order of that float."""
     if o > 0.0:
         r = (x - o) / o
         if r > -1.0:

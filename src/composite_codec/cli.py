@@ -411,6 +411,10 @@ def _cmd_bounds(args, out):
     if args.n is None or args.spec is None:
         raise DomainError("either --table or both --n and --spec are required")
     spec = em.parse_spec(args.spec)
+    # the spec's entry count against k, once for every bound
+    # (shortened_rows checks a deletion spec's)
+    if em.shortened_rows(spec, args.k) is None:
+        em._check_sub_spec(args.k, spec)
     emitter = _Emitter(args.format, out,
                        ("bound", "kind", "value", "floor", "validity"))
     for name in args.bound or BOUND_CHOICES:
@@ -583,18 +587,18 @@ def _verify_transversal(args, out):
         return ball
     report = oracle_mod.check_fractional_transversal(
         all_sequences(n, k), ball_fn, weight)
-    expected = (em.vertex_set_size_10(n) if spec == em.RADIUS_10
-                else len(universe))
-    if len(universe) != expected:
-        raise DomainError(
-            f"output universe has {len(universe)} elements, closed form "
-            f"gives {expected}")
-    if spec == em.RADIUS_10 and n >= 2:
-        # gspb_upper sums N(n-1; rho; w) V(n; w) outputs per (runs, weight)
-        # of the deleted row; the enumerated outputs must match it
-        seen = Counter((em.runs(y0), sum(y0)) for y0, _ in universe)
+    if em.shortened_rows(spec, k) == (0,):
+        expected = em.vertex_set_size(n, k)
+        if len(universe) != expected:
+            raise DomainError(
+                f"output universe has {len(universe)} elements, closed form "
+                f"gives {expected}")
+        # gspb_upper sums N(n-1; rho; w) V(n; w; k) outputs per (runs,
+        # weight) of the deleted row, which is empty at n = 1; the
+        # enumerated outputs must match it
+        seen = Counter((em.runs(y0), sum(y0)) for y0, *_ in universe if y0)
         for (rho, w), count in sorted(seen.items()):
-            closed = em.count_runs_weight(n - 1, rho, w) * em.count_v(n, w)
+            closed = em.count_runs_weight(n - 1, rho, w) * em.count_v(n, w, k)
             if count != closed:
                 raise DomainError(
                     f"{count} outputs with {rho} runs and weight {w}, "

@@ -268,6 +268,7 @@ def _check_label(label: int, modulus: int, n: int) -> None:
 
 def _check_rows(rows, k: int) -> tuple:
     """The k received rows, as a tuple of tuples."""
+    _check_resolution(k)
     rows = tuple(map(tuple, rows))
     if len(rows) != k:
         raise DomainError(f"expected {k} rows, got {len(rows)}")

@@ -10,8 +10,8 @@ Deletion balls assume a deletion always occurs: the affected row comes
 back one bit short and the others intact, so ball elements are row
 tuples, not composite sequences.
 
-Also home to the counting functions feeding the deletion bound: runs,
-N(n; rho; w), V(n; w) and the channel-output vertex count.
+Also home to the counting functions feeding the deletion bound, at any
+k: runs, N(n; rho; w), V(n; w; k) and the first-row output count.
 """
 
 from __future__ import annotations
@@ -418,21 +418,23 @@ def count_runs_weight(n: int, rho: int, w: int) -> int:
             + comb(w - 1, lo - 1) * comb(n - w - 1, hi - 1))
 
 
-def count_v(n: int, w: int) -> int:
-    """V(n; w) = 2^{n-w} + w 2^{n-w-1}.
+def count_v(n: int, w: int, k: int) -> int:
+    """V(n; w; k) = k^{n-w-1} (k + w(k-1)), 2^{n-w} + w 2^{n-w-1} at k = 2.
 
-    For a first-channel output y0 of length n-1 and weight w, counts the
-    second rows s1 that dominate some one-insertion supersequence of y0.
+    For a first-row output y0 of length n-1 and weight w, counts the rows
+    1..k-1 that complete some one-insertion supersequence of y0 to a
+    sequence.
     """
     if not 0 <= w <= n - 1:
         raise DomainError(f"V({n}; {w}) needs 0 <= w <= n-1")
-    return 2 ** (n - w) + w * 2 ** (n - w - 1)
+    return k ** (n - w - 1) * (k + w * (k - 1))
 
 
-def vertex_set_size_10(n: int) -> int:
-    """|X_(1,0)| = 2*3^{n-1} + (n-1)*3^{n-2}: all (y0, s1) channel outputs."""
+def vertex_set_size(n: int, k: int) -> int:
+    """|X| = k(k+1)^{n-1} + (k-1)(n-1)(k+1)^{n-2}: every first-row deletion
+    output (y0, rows 1..k-1), the sum of V(n; w; k) over y0."""
     if n < 1:
         raise DomainError("need n >= 1")
     if n == 1:
-        return 2
-    return 2 * 3 ** (n - 1) + (n - 1) * 3 ** (n - 2)
+        return k
+    return k * (k + 1) ** (n - 1) + (k - 1) * (n - 1) * (k + 1) ** (n - 2)

@@ -58,7 +58,7 @@ from composite_codec.error_model import (
     parse_spec,
     runs,
     sub_ball_size,
-    vertex_set_size_10,
+    vertex_set_size,
 )
 from composite_codec.oracle import (
     check_fractional_transversal,
@@ -332,7 +332,7 @@ def test_counting_identities_match_brute_force():
                     for s1 in product((0, 1), repeat=n):
                         if all(a <= c for a, c in zip(s0, s1)):
                             seen.add(s1)
-            assert count_v(n, w) == len(seen)
+            assert count_v(n, w, 2) == len(seen)
 
     # N(n; rho; w) against direct enumeration, n <= 12
     for n in range(1, 13):
@@ -346,7 +346,7 @@ def test_counting_identities_match_brute_force():
         outputs = set()
         for s in all_sequences(n, 2):
             outputs |= enumerate_del_ball(s, 2, parse_spec("d:(1,0)"))
-        assert vertex_set_size_10(n) == len(outputs)
+        assert vertex_set_size(n, 2) == len(outputs)
 
     # total-run-count identity, n <= 12, 0 < w < n
     for n in range(2, 13):

@@ -32,7 +32,7 @@ from composite_codec.error_model import (
     enumerate_sub_ball,
     parse_spec,
     runs,
-    vertex_set_size_10,
+    vertex_set_size,
 )
 from composite_codec.oracle import check_fractional_transversal, optimal_code_size
 
@@ -100,11 +100,11 @@ def test_gspb_deletion_value():
     assert gspb_upper(4, 2, parse_spec("d:(1,0)")).value == Fraction(143, 3)
 
 
-def _gspb_del_double_sum(n):
+def _gspb_del_double_sum(n, k):
     """The deletion GSPB as one Fraction term per (w, rho)."""
     total = Fraction(0)
     for w in range(n):
-        v = count_v(n, w)
+        v = count_v(n, w, k)
         for rho in range(1, n):
             cnt = count_runs_weight(n - 1, rho, w)
             if cnt:
@@ -116,18 +116,25 @@ def _gspb_del_double_sum(n):
 def test_gspb_deletion_matches_double_sum(text):
     spec = parse_spec(text)
     for n in list(range(2, 81)) + [150, 240]:
-        assert gspb_upper(n, 2, spec).value == _gspb_del_double_sum(n), n
+        assert gspb_upper(n, 2, spec).value == _gspb_del_double_sum(n, 2), n
+    for k in (1, 3, 4):
+        spec = parse_spec(text) if text == "d:1" else _first_row(k)
+        for n in range(2, 41):
+            assert gspb_upper(n, k, spec).value == _gspb_del_double_sum(n, k), (k, n)
 
 
 def test_gspb_deletion_matches_output_enumeration():
-    # one term 1/runs(y0) per channel output (y0, s1) of d:(1,0)
-    for n in range(2, 7):
-        outputs = set()
-        for s in all_sequences(n, 2):
-            outputs |= enumerate_del_ball(s, 2, parse_spec("d:(1,0)"))
-        brute = sum((Fraction(1, runs(y0)) for y0, _ in outputs), Fraction(0))
-        for text in ("d:(1,0)", "d:1"):
-            assert gspb_upper(n, 2, parse_spec(text)).value == brute, (n, text)
+    # one term 1/runs(y0) per channel output (y0, rows 1..k-1) of the
+    # first-row deletion, at any k
+    for k, top in ((1, 7), (2, 6), (3, 4), (4, 3)):
+        first = _first_row(k)
+        for n in range(2, top + 1):
+            outputs = set()
+            for s in all_sequences(n, k):
+                outputs |= enumerate_del_ball(s, k, first)
+            brute = sum((Fraction(1, runs(y[0])) for y in outputs), Fraction(0))
+            for spec in (first, "d:1"):
+                assert gspb_upper(n, k, spec).value == brute, (k, n, spec)
 
 
 def test_gspb_kind_and_floor():
@@ -142,18 +149,18 @@ def test_sphere_packing_closed_form():
 
     # 3^n / C(n, min(e0, e1)) per channel, 3^n / C(n, e) for a total budget.
     for n in (2, 4, 6):
-        assert sphere_packing_upper(n, parse_spec("(1,0)")).value == Fraction(3 ** n)
-        assert sphere_packing_upper(n, parse_spec("(1,1)")).value == Fraction(3 ** n, n)
-        assert sphere_packing_upper(n, parse_spec("t:2")).value == Fraction(
+        assert sphere_packing_upper(n, 2, parse_spec("(1,0)")).value == Fraction(3 ** n)
+        assert sphere_packing_upper(n, 2, parse_spec("(1,1)")).value == Fraction(3 ** n, n)
+        assert sphere_packing_upper(n, 2, parse_spec("t:2")).value == Fraction(
             3 ** n, comb(n, 2))
     with pytest.raises(DomainError):
-        sphere_packing_upper(1, parse_spec("t:2"))
-    with pytest.raises(DomainError):
-        sphere_packing_upper(4, parse_spec("(1,1,1)"))
+        sphere_packing_upper(1, 2, parse_spec("t:2"))
+    with pytest.raises(DomainError, match=r"^budget vector \(1,1,1\) has 3 entries, expected k=2$"):
+        sphere_packing_upper(4, 2, parse_spec("(1,1,1)"))
 
 
 def test_sphere_packing_golden():
-    assert sphere_packing_upper(4, parse_spec("(1,1)")).value == Fraction(81, 4)
+    assert sphere_packing_upper(4, 2, parse_spec("(1,1)")).value == Fraction(81, 4)
 
 
 # (k, largest n, specs) for the brute-force means
@@ -223,13 +230,15 @@ def test_aspv_is_space_over_average():
 
 
 def test_asymptotic_estimates_are_labelled():
-    r = asymptotic_upper(20, parse_spec("(1,1)"))
+    r = asymptotic_upper(20, 2, parse_spec("(1,1)"))
     assert r.kind == "asymptotic_estimate"
     assert r.value > 0
-    t = asymptotic_upper(60, parse_spec("t:2"), tighter=True)
+    t = asymptotic_upper(60, 2, parse_spec("t:2"), tighter=True)
     assert t.kind == "asymptotic_estimate"
     with pytest.raises(DomainError):
-        asymptotic_upper(20, parse_spec("(1,0)"))
+        asymptotic_upper(20, 2, parse_spec("(1,0)"))
+    with pytest.raises(DomainError, match=r"^budget vector \(1,1,0\) has 3 entries, expected k=2$"):
+        asymptotic_upper(20, 2, parse_spec("(1,1,0)"))
 
 
 def test_lower_bound_goldens():
@@ -292,20 +301,21 @@ def test_weight_rule_first_channel_feasible_and_tight():
 
 
 def test_weight_rule_deletion_feasible_and_tight():
-    spec = parse_spec("d:(1,0)")
-    for n in (3, 4, 5):
-        weight = gspb_weight_rule(n, 2, spec)
-        outputs = set()
-        for s in all_sequences(n, 2):
-            outputs |= enumerate_del_ball(s, 2, spec)
-        assert len(outputs) == vertex_set_size_10(n)
-        report = check_fractional_transversal(
-            list(all_sequences(n, 2)),
-            lambda s: enumerate_del_ball(s, 2, spec),
-            weight,
-        )
-        assert report.feasible
-        assert report.total_weight == gspb_upper(n, 2, spec).value
+    for k, lengths in ((2, (3, 4, 5)), (1, (2, 5)), (3, (2, 3)), (4, (2, 3))):
+        spec = _first_row(k)
+        for n in lengths:
+            weight = gspb_weight_rule(n, k, spec)
+            outputs = set()
+            for s in all_sequences(n, k):
+                outputs |= enumerate_del_ball(s, k, spec)
+            assert len(outputs) == vertex_set_size(n, k)
+            report = check_fractional_transversal(
+                list(all_sequences(n, k)),
+                lambda s: enumerate_del_ball(s, k, spec),
+                weight,
+            )
+            assert report.feasible
+            assert report.total_weight == gspb_upper(n, k, spec).value
 
 
 def test_weight_rule_total_one_feasible():
@@ -374,11 +384,12 @@ def test_bound_registry_lists_every_bound_in_order():
         "sphere", "asymptotic", "tighter", "gspb", "average", "aspv",
         "lower:bch", "lower:coset", "lower:fiber", "lower:lee", "lower:vt",
         "lower:vt1", "lower:tenengolts", "lower:tenengolts1")
-    for name in ("sphere", "asymptotic", "tighter"):
-        with pytest.raises(DomainError, match="forms are stated for k = 2$"):
+    for name, what in (("sphere", "sphere packing bound"),
+                       ("asymptotic", "asymptotic bound"), ("tighter", "asymptotic bound")):
+        with pytest.raises(DomainError, match=f"^{what} is stated for k = 2, got k=3$"):
             BOUNDS[name](8, 3, Total(2))
     assert BOUNDS["tighter"](8, 2, PerChannel((1, 1))) == \
-        asymptotic_upper(8, PerChannel((1, 1)), tighter=True)
+        asymptotic_upper(8, 2, PerChannel((1, 1)), tighter=True)
     assert BOUNDS["lower:vt1"](8, 2, parse_spec("d:(1,0)")) == \
         lower_bound(8, 2, parse_spec("d:(1,0)"), "vt1_del")
 
@@ -399,6 +410,11 @@ def test_deletion_average_is_the_mean_ball_size(k, top):
             assert aspv(n, k, spec).value == (k + 1) ** n / got.value
 
 
+#: the deletion GSPB off k = 2 by (k, n), the sum of 1/runs(y0) over the
+#: enumerated first-row outputs
+DELETION_GSPB = {(1, 4): Fraction(14, 3), (1, 6): Fraction(62, 5), (1, 7): 21,
+                 (3, 2): 14, (3, 3): 49, (3, 4): 178, (4, 2): 23, (4, 3): 102}
+
 #: exact optima of the deletion specs off k = 2 (the oracle, under 1 s each)
 DELETION_OPTIMA = [
     (1, "d:1", 4, 4), (1, "d:(1)", 6, 10), (1, "d:1", 7, 16),
@@ -418,13 +434,31 @@ def test_deletion_bounds_sandwich_the_optimum_at_any_k(k, text, n, size):
             listed[name] = bound(n, k, spec)
         except DomainError:
             pass
-    assert set(listed) == {"average", "aspv", "lower:vt1"} | ({"lower:vt"} if first else set())
+    assert set(listed) == {"gspb", "average", "aspv", "lower:vt1"} | (
+        {"lower:vt"} if first else set())
     assert listed["lower:vt1"].value == Fraction((k + 1) ** n, k * n + 1) <= size
     if first:
         assert listed["lower:vt"].value == Fraction((k + 1) ** n, n + 1) <= size
-    for name in ("gspb", "lower:tenengolts1") + (("lower:tenengolts",) if first else ()):
-        with pytest.raises(DomainError, match="^deletion bounds are stated for k = 2$"):
-            BOUNDS[name](n, k, spec)
+    assert listed["gspb"].value == DELETION_GSPB[k, n] >= size
+    for method in ("tenengolts1_del",) + (("tenengolts_del",) if first else ()):
+        with pytest.raises(DomainError, match=f"^{method} bound is stated for k = 2, got k={k}$"):
+            lower_bound(n, k, spec, method)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_the_k_two_formulas_share_one_rule(k):
+    for what, call in (
+            ("sphere packing bound", lambda: sphere_packing_upper(8, k, Total(2))),
+            ("asymptotic bound", lambda: asymptotic_upper(8, k, Total(2))),
+            ("(1,1) GSPB", lambda: gspb_upper(8, k, PerChannel((1, 1)))),
+            ("total-2 GSPB", lambda: gspb_upper(60, k, Total(2))),
+            ("tenengolts_del bound",
+             lambda: lower_bound(8, k, _first_row(k), "tenengolts_del")),
+            ("tenengolts1_del bound",
+             lambda: lower_bound(8, k, parse_spec("d:1"), "tenengolts1_del"))):
+        with pytest.raises(DomainError) as got:
+            call()
+        assert str(got.value) == f"{what} is stated for k = 2, got k={k}"
 
 
 @pytest.mark.parametrize("k, n", [(1, 5), (2, 1), (3, 1), (3, 3), (4, 2)])

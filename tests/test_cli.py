@@ -434,6 +434,16 @@ def test_verify_transversal():
         "n,k,spec,outputs,min_cover,total_weight,gspb,feasible",
         '3,2,"d:(1,0)",24,1,18,18,true',
     ]
+    # off k = 2 the first-row deletion's total weight is its GSPB too
+    for k in (1, 3, 4):
+        spec = "d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")"
+        for n in (2, 3, 4):
+            code, out, err = run_cli("verify", "--transversal", "--n", str(n),
+                                     "--k", str(k), "--spec", spec, "--format", "json")
+            row = json.loads(out)
+            assert (code, err, row["feasible"]) == (0, "", True), (k, n)
+            assert row["gspb"] is not None, (k, n)
+            assert row["total_weight"] == row["gspb"], (k, n)
 
 
 @pytest.mark.parametrize("n, spec, sequences",
@@ -771,6 +781,12 @@ def test_decompose_rejects_resolution_zero():
     _one_error_line(("decompose", "--k", "0", "000"))
 
 
+@pytest.mark.parametrize("construction", ["c1", "c3"])
+def test_decode_checks_the_resolution_before_the_rows(construction):
+    assert run_cli("decode", "--construction", construction, "--k", "0", "0/0") == (
+        1, "", "error: resolution k must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("args", [
     ("ball", "enumerate", "--k", "3", "--spec", "d:(1,0)", "012"),
     ("ball", "size", "--k", "3", "--spec", "d:(1,0)", "0120"),
@@ -801,11 +817,12 @@ def test_deletion_specs_at_any_k():
     code, out, err = run_cli("bounds", "--n", "4", "--k", "3", "--spec", "d:1")
     assert (code, err) == (0, "")
     assert [line.split("\t")[0] for line in out.splitlines()] == [
-        "average", "aspv", "lower:vt1"]
-    for bound in ("gspb", "lower:tenengolts1"):
-        assert run_cli("bounds", "--n", "4", "--k", "3", "--spec", "d:1",
-                       "--bound", bound) == (
-            1, "", "error: deletion bounds are stated for k = 2\n")
+        "gspb", "average", "aspv", "lower:vt1"]
+    assert run_cli("bounds", "--n", "4", "--k", "3", "--spec", "d:1",
+                   "--bound", "gspb") == (0, "gspb\tvalid_upper\t178\t178\tn >= 2\n", "")
+    assert run_cli("bounds", "--n", "4", "--k", "3", "--spec", "d:1",
+                   "--bound", "lower:tenengolts1") == (
+        1, "", "error: tenengolts1_del bound is stated for k = 2, got k=3\n")
 
 
 @pytest.mark.parametrize("name, codewords, cases", [("c3", 100, 400), ("c5", 19, 228)])
@@ -940,11 +957,15 @@ def test_verify_transversal_at_lengths_below_one_ends_cleanly():
 
 
 def test_bounds_check_the_first_channel_budget_length():
-    code, out, err = run_cli("bounds", "--n", "4", "--k", "3", "--spec", "(1,0)",
-                             "--format", "csv")
-    assert (code, err) == (0, "")
-    assert not {row["bound"] for row in csv.DictReader(io.StringIO(out))} & {
-        "gspb", "lower:fiber", "average", "aspv"}
+    # the listing checks the count once, where it listed nothing
+    for n in ("4", "-1"):
+        for spec, error in (("(1,0)", "budget vector (1,0)"),
+                            ("d:(1,0)", "deletion spec d:(1,0)")):
+            assert run_cli("bounds", "--n", n, "--k", "3", "--spec", spec,
+                           "--format", "csv") == (
+                1, "", f"error: {error} has 2 entries, expected k=3\n")
+    # a spec that fits k still lists nothing at a negative length
+    assert run_cli("bounds", "--n", "-1", "--k", "3", "--spec", "(1,0,0)") == (0, "", "")
     for name in ("gspb", "lower:fiber", "average", "aspv"):
         args = ("bounds", "--n", "4", "--k", "3", "--spec", "(1,0)", "--bound", name)
         _one_error_line(args)

@@ -336,6 +336,9 @@ def test_label_and_row_rules():
     assert _check_rows([[0, 1], (1, 1)], 2) == ((0, 1), (1, 1))
     with pytest.raises(DomainError, match="^expected 3 rows, got 2$"):
         _check_rows([[0, 1], (1, 1)], 3)
+    # the resolution first, not a count of rows against it
+    with pytest.raises(DomainError, match="^resolution k must be >= 1, got 0$"):
+        _check_rows([[0], [0]], 0)
     with pytest.raises(DomainError, match="^resolution k must be >= 1, got -4$"):
         CompositeParams(k=-4)
 
@@ -343,9 +346,11 @@ def test_label_and_row_rules():
 #: the error text of each argument rule
 RULE_TEXTS = ("length must be >= 0, got", "resolution k must be >= 1, got",
               "out of range for n=", "rows, got", "the fiber construction needs k >= 2",
-              "outside Sigma_")
+              "outside Sigma_", "is stated for k = 2, got k=")
 #: texts of the copies those rules replaced
-RETIRED_TEXTS = ("outside 0..", "fiber bound needs")
+RETIRED_TEXTS = ("outside 0..", "fiber bound needs", "forms are stated for k = 2",
+                 "deletion bounds are stated for k = 2", "bound is stated for k = 2",
+                 "GSPB is stated for k = 2")
 
 
 def test_each_argument_rule_is_stated_once():

@@ -33,7 +33,7 @@ from composite_codec.error_model import (
     shortened_rows,
     sub_ball_pairs,
     sub_ball_size,
-    vertex_set_size_10,
+    vertex_set_size,
 )
 
 
@@ -458,44 +458,47 @@ def test_count_runs_weight_matches_brute_force():
         count_runs_weight(3, 4, 1)
 
 
-def _insertions(y):
-    out = set()
-    for i in range(len(y) + 1):
-        for b in (0, 1):
-            out.add(y[:i] + (b,) + y[i:])
-    return out
-
-
-def _brute_v(y0):
-    n = len(y0) + 1
-    seen = set()
-    for s0 in _insertions(y0):
-        for s1 in product((0, 1), repeat=n):
-            if all(a <= b for a, b in zip(s0, s1)):
-                seen.add(s1)
-    return len(seen)
+def _completions(n, k):
+    """y0 -> the rows 1..k-1 of every sequence of length n whose row 0
+    loses one bit to y0, by decomposing each sequence."""
+    tails: dict = {}
+    for s in all_sequences(n, k):
+        rows = decompose_sequence(s, k)
+        for i in range(n):
+            tails.setdefault(rows[0][:i] + rows[0][i + 1:], set()).add(rows[1:])
+    return tails
 
 
 def test_count_v_matches_brute_force():
-    for n in (2, 3, 4, 5):
-        for y0 in product((0, 1), repeat=n - 1):
-            assert count_v(n, sum(y0)) == _brute_v(y0)
+    for k in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
+            tails = _completions(n, k)
+            assert set(tails) == set(product((0, 1), repeat=n - 1))
+            for y0, rest in tails.items():
+                assert count_v(n, sum(y0), k) == len(rest), (k, n, y0)
 
 
 def test_count_v_closed_form():
     for n in (3, 6, 10):
         for w in range(n):
-            assert count_v(n, w) == 2 ** (n - w) + w * 2 ** (n - w - 1)
+            assert count_v(n, w, 2) == 2 ** (n - w) + w * 2 ** (n - w - 1)
+            assert count_v(n, w, 1) == 1
 
 
-def test_vertex_set_size_10_matches_brute_force():
-    for n in (2, 3, 4, 5, 6):
-        vertices = set()
-        for s in all_sequences(n, 2):
-            for out in enumerate_del_ball(s, 2, parse_spec("d:(1,0)")):
-                vertices.add(out)
-        assert vertex_set_size_10(n) == len(vertices)
-        assert vertex_set_size_10(n) == 2 * 3 ** (n - 1) + (n - 1) * 3 ** (n - 2)
+def _first_row(k):
+    return parse_spec("d:(" + ",".join(["1"] + ["0"] * (k - 1)) + ")")
+
+
+def test_vertex_set_size_matches_brute_force():
+    for k, top in ((1, 7), (2, 6), (3, 5), (4, 5)):
+        for n in range(1, top + 1):
+            vertices = set()
+            for s in all_sequences(n, k):
+                vertices |= enumerate_del_ball(s, k, _first_row(k))
+            assert vertex_set_size(n, k) == len(vertices), (k, n)
+    for n in range(2, 9):
+        assert vertex_set_size(n, 2) == 2 * 3 ** (n - 1) + (n - 1) * 3 ** (n - 2)
+    assert vertex_set_size(1, 2) == 2
 
 
 def test_total_run_count_identity():
