@@ -339,8 +339,7 @@ def lower_bound(n: int, k: int, spec, method: str) -> BoundResult:
     if method == "coset":
         if not isinstance(spec, PerChannel):
             raise DomainError("coset takes a per-channel spec")
-        if len(spec.budgets) != k:
-            raise DomainError(f"budget vector needs k={k} entries")
+        _check_sub_spec(k, spec)
         value = Fraction((k + 1) ** n,
                          2 ** (ceil_log(2, n + 1) * sum(spec.budgets)))
         return BoundResult(value, VALID_LOWER, "n >= 0")

@@ -31,7 +31,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 
 from composite_codec import bounds as bounds_mod
@@ -66,12 +66,9 @@ def _input_items(args):
     if getattr(args, "inputs", None):
         yield from args.inputs
         return
-    source = sys.stdin
-    if getattr(args, "infile", None):
-        source = open(args.infile, "r", encoding="utf-8")
-    with contextlib.ExitStack() as stack:
-        if source is not sys.stdin:
-            stack.enter_context(source)
+    infile = getattr(args, "infile", None)
+    with (open(infile, "r", encoding="utf-8") if infile
+          else contextlib.nullcontext(sys.stdin)) as source:
         for line in source:
             line = line.strip()
             if line:
@@ -113,13 +110,19 @@ def _jsonable(value):
 
 
 class _Emitter:
-    """Streams rows in the selected format; header emitted lazily."""
+    """Streams rows in the selected format, the one place that knows how a
+    row looks.  csv writes the header before its first row and json keys
+    each row by it; text prints the columns named in text (default: all),
+    tab-separated, after the header line at once when text_header is set."""
 
-    def __init__(self, fmt: str, out, header):
+    def __init__(self, fmt: str, out, header, text=None, text_header=False):
         self.fmt = fmt
         self.out = out
         self.header = tuple(header)
+        self._text = None if text is None else [self.header.index(c) for c in text]
         self._writer = None
+        if fmt == "text" and text_header:
+            out.write("\t".join(self.header) + "\n")
 
     def row(self, values):
         values = tuple(values)
@@ -132,6 +135,8 @@ class _Emitter:
             obj = {key: _jsonable(v) for key, v in zip(self.header, values)}
             self.out.write(json.dumps(obj) + "\n")
         else:
+            if self._text is not None:
+                values = [values[i] for i in self._text]
             self.out.write("\t".join(_cell(v) for v in values) + "\n")
 
 
@@ -166,6 +171,13 @@ class _Run:
         self.alphabet = entry.alphabet or args.k
         self.rows_input = entry.alphabet is None
         self._row_codes, self._inners = {}, {}
+
+    @cached_property
+    def shortened(self):
+        """The rows the spec may shorten (error_model.shortened_rows),
+        computed on first use, so that a bad --k meets the resolution rule
+        of the code's own calls first."""
+        return em.shortened_rows(self.spec, self.k)
 
     def row_codes(self, n: int):
         if n not in self._row_codes:
@@ -278,12 +290,11 @@ def _cases(run, codeword):
     universe, in no set order: received rows under a substitution spec,
     one deletion from the shortened rows of a row code, one deletion from
     a plain word."""
-    shortened = em.shortened_rows(run.spec, run.k)
-    if shortened is None:
+    if run.shortened is None:
         for y in em.enumerate_received_rows(codeword, run.k, run.spec):
             yield None, None, y
     elif run.rows_input:
-        yield from deletion_mod.deletion_outputs(codeword, run.k, shortened)
+        yield from deletion_mod.deletion_outputs(codeword, run.k, run.shortened)
     else:
         for y in em.single_deletions(codeword):
             yield None, None, y
@@ -323,31 +334,24 @@ def _cmd_decompose(args, out):
 
 
 def _cmd_reconstruct(args, out):
-    emitter = _Emitter(args.format, out, ("rows", "sequence"))
+    emitter = _Emitter(args.format, out, ("rows", "sequence"), text=("sequence",))
     for text in _input_items(args):
         rows = tuple(parse_binary(part) for part in text.split("/"))
-        s = reconstruct_rows(rows)
-        rendered = format_sequence(s, len(rows))
-        if args.format == "text":
-            out.write(rendered + "\n")
-        else:
-            emitter.row((_format_rows(rows), rendered))
+        emitter.row((_format_rows(rows),
+                     format_sequence(reconstruct_rows(rows), len(rows))))
     return 0
 
 
 def _cmd_transform(args, out):
-    emitter = _Emitter(args.format, out, ("sequence", "transformed"))
+    emitter = _Emitter(args.format, out, ("sequence", "transformed"),
+                       text=("transformed",))
     for text in _input_items(args):
         s = parse_sequence(text, args.k)
         if args.reverse:
             t = transform_reverse(s, args.k)
         else:
             t = transform_shift(s, args.k, args.shift)
-        rendered = format_sequence(t, args.k)
-        if args.format == "text":
-            out.write(rendered + "\n")
-        else:
-            emitter.row((format_sequence(s, args.k), rendered))
+        emitter.row((format_sequence(s, args.k), format_sequence(t, args.k)))
     return 0
 
 
@@ -356,39 +360,25 @@ def _cmd_ball(args, out):
     k = args.k
     deletion = em.shortened_rows(spec, k) is not None
     if args.mode == "size":
-        emitter = _Emitter(args.format, out,
-                           ("sequence", "size", "closed_form"))
+        emitter = _Emitter(args.format, out, ("sequence", "size", "closed_form"),
+                           text=("size",))
         for text in _input_items(args):
             s = parse_sequence(text, k)
-            size = em.ball_size(s, k, spec)
-            closed = deletion or em.has_closed_form(k, spec)
-            if args.format == "text":
-                out.write(f"{size}\n")
-            else:
-                emitter.row((format_sequence(s, k), size, closed))
+            emitter.row((format_sequence(s, k), em.ball_size(s, k, spec),
+                         deletion or em.has_closed_form(k, spec)))
         return 0
-
-    emitter = _Emitter(args.format, out, ("sequence", "member"))
+    members = {"enumerate": em.enumerate_ball, "inbound": em.enumerate_in_ball,
+               "received": em.enumerate_received_rows}[args.mode]
+    # members are sequences, or row tuples for received outputs and deletions
+    rows = deletion or args.mode == "received"
+    emitter = _Emitter(args.format, out, ("sequence", "member"), text=("member",))
     for text in _input_items(args):
         s = parse_sequence(text, k)
-        if args.mode == "enumerate":
-            rendered = [_format_rows(m) if deletion else format_sequence(m, k)
-                        for m in sorted(em.enumerate_ball(s, k, spec))]
-        elif args.mode == "inbound":
-            if deletion:
-                raise DomainError("inbound mode applies to substitution specs")
-            rendered = [format_sequence(m, k)
-                        for m in sorted(em.enumerate_in_ball(s, k, spec))]
-        else:  # received
-            if deletion:
-                raise DomainError("received mode applies to substitution specs")
-            rendered = [_format_rows(rows)
-                        for rows in sorted(em.enumerate_received_rows(s, k, spec))]
-        for item in rendered:
-            if args.format == "text":
-                out.write(item + "\n")
-            else:
-                emitter.row((format_sequence(s, k), item))
+        if deletion and args.mode != "enumerate":
+            raise DomainError(f"{args.mode} mode applies to substitution specs")
+        for m in sorted(members(s, k, spec)):
+            emitter.row((format_sequence(s, k),
+                         _format_rows(m) if rows else format_sequence(m, k)))
     return 0
 
 
@@ -400,10 +390,7 @@ def _cmd_bounds(args, out):
         stream = bounds_mod.emit_bound_table(
             args.table, range(args.n_min, args.n_max + 1),
             k=args.k, e0=args.e0, e1=args.e1, e=args.e)
-        header = next(stream)
-        emitter = _Emitter(args.format, out, header)
-        if args.format == "text":
-            out.write("\t".join(header) + "\n")
+        emitter = _Emitter(args.format, out, next(stream), text_header=True)
         for row in stream:
             emitter.row(row)
         return 0
@@ -499,43 +486,35 @@ def _verify_construction(args, out):
         word_of = {msg: entry.encode(run, msg)
                    for msg in all_sequences(args.m, run.alphabet)}
 
-    decode = partial(entry.decode, run)
-    if args.summary:
-        count = len(word_of)
-        expected = entry.size(run, args.n) if entry.size else count
-        if expected != count:
-            raise DomainError(
-                f"enumerated {count} codewords but the size formula gives "
-                f"{expected}")
-        report = oracle_mod.exhaustive_decode_check(
-            list(word_of),
-            lambda target: (y for _, _, y in _cases(run, word_of[target])),
-            decode)
-        emitter = _Emitter(args.format, out,
-                           ("construction", "codewords", "cases", "failures", "ok"))
-        emitter.row((args.construction, count, report.cases,
-                     len(report.failures), report.ok))
-        return 0 if report.ok else 1
-
     pairs = list(word_of.items())
-    if args.sample is not None:
-        if args.sample < 0:
-            raise DomainError(f"sample size must be >= 0, got {args.sample}")
-        rng = random.Random(args.seed)
-        pairs = sorted(rng.sample(pairs, min(args.sample, len(pairs))),
-                       key=itemgetter(1))
-
-    emitter = _Emitter(args.format, out,
-                       ("construction", "codeword", "channel", "position",
-                        "received", "decoded", "status"))
-    failures = 0
-    count = 0
+    if args.summary:
+        expected = entry.size(run, args.n) if entry.size else len(pairs)
+        if expected != len(pairs):
+            raise DomainError(
+                f"enumerated {len(pairs)} codewords but the size formula gives "
+                f"{expected}")
+        header = ("construction", "codewords", "cases", "failures", "ok")
+    else:
+        if args.sample is not None:
+            if args.sample < 0:
+                raise DomainError(f"sample size must be >= 0, got {args.sample}")
+            rng = random.Random(args.seed)
+            pairs = sorted(rng.sample(pairs, min(args.sample, len(pairs))),
+                           key=itemgetter(1))
+        header = ("construction", "codeword", "channel", "position",
+                  "received", "decoded", "status")
+    emitter = _Emitter(args.format, out, header)
+    decode = partial(entry.decode, run)
+    count = failures = 0
     for target, word in pairs:
-        cases = sorted(_cases(run, word))
+        # the listing prints the cases in order, so it keeps them
+        cases = _cases(run, word) if args.summary else sorted(_cases(run, word))
         report = oracle_mod.exhaustive_decode_check(
             [target], lambda _: (y for _, _, y in cases), decode)
         count += report.cases
         failures += len(report.failures)
+        if args.summary:
+            continue
         wrong = {y: got for _, y, got in report.failures}
         for channel, position, received in cases:
             got = wrong.get(received, target)
@@ -546,7 +525,10 @@ def _verify_construction(args, out):
                          f"error: {got}" if isinstance(got, Exception)
                          else format_sequence(got, run.alphabet),
                          "fail" if received in wrong else "ok"))
-    print(f"{count} cases, {failures} failures", file=sys.stderr)
+    if args.summary:
+        emitter.row((args.construction, len(pairs), count, failures, failures == 0))
+    else:
+        print(f"{count} cases, {failures} failures", file=sys.stderr)
     return 0 if failures == 0 else 1
 
 
@@ -561,10 +543,7 @@ def _verify_codebook(args, out):
     emitter = _Emitter(args.format, out, ("codeword_a", "codeword_b"))
     conflicts = 0
     for i, mask in enumerate(oracle_mod.conflict_graph(balls)):
-        later = mask >> (i + 1) << (i + 1)
-        while later:
-            j = (later & -later).bit_length() - 1
-            later &= later - 1
+        for j in oracle_mod._bits(mask >> (i + 1) << (i + 1)):
             conflicts += 1
             emitter.row((format_sequence(words[i], args.k),
                          format_sequence(words[j], args.k)))

@@ -259,11 +259,13 @@ def optimal_binary_single_error(length: int) -> OracleResult:
     i.e. with minimum Hamming distance 3: the k = 1 composite code under
     the per-channel spec (1,).
 
-    Exact for length <= 8.  Lengths up to 7 solve in well under a second;
-    length 8 is a famously hard search instance and can run for a very
-    long time, so reach for it only when that cost is acceptable."""
-    if not 0 <= length <= 8:
-        raise SizeLimitError("optimal_binary_single_error supports length <= 8")
+    Lengths up to the cap (default 7, raised by error_model.raised_caps)
+    are searched; up to 7 they solve in well under a second, while length
+    8 is a famously hard search instance that can run for a very long
+    time."""
+    cap = _cap(7)
+    if not 0 <= length <= cap:
+        raise SizeLimitError(f"optimal_binary_single_error supports length <= {cap}")
     return optimal_code_size(length, 1, PerChannel((1,)))
 
 

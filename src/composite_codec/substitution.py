@@ -283,7 +283,8 @@ def hamming_fiber_inners(n: int, coset: int = 0) -> dict:
 
 
 def optimal_fiber_inners(n: int) -> dict:
-    """Largest single-error inner codes, from exhaustive search (n <= 8).
+    """Largest single-error inner codes, from exhaustive search (n <= 7
+    unless the cap is raised).
 
     The longest is searched first, so a length past the search's reach
     is refused before the shorter searches run (length 8 alone can take

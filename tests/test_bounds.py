@@ -263,6 +263,12 @@ def test_lower_bound_kinds_and_errors():
         lower_bound(4, 2, parse_spec("t:1"), "nonsense")
 
 
+def test_coset_bound_states_the_entry_count_rule_in_its_one_text():
+    with pytest.raises(DomainError) as exc:
+        lower_bound(4, 3, PerChannel((1, 0)), "coset")
+    assert str(exc.value) == "budget vector (1,0) has 2 entries, expected k=3"
+
+
 def test_deletion_lower_bounds_honour_their_spec():
     d10, d1 = parse_spec("d:(1,0)"), parse_spec("d:1")
     for method in ("vt_del", "tenengolts_del"):

@@ -717,6 +717,201 @@ def test_reruns_are_byte_identical():
     assert run_cli(*args) == run_cli(*args)
 
 
+#: stdout of each row mode, line by line, in text, csv and json
+LAYOUTS = {
+    'decompose --k 2 012 210': {
+        'text': (
+            '001', '011', '', '100', '110',
+        ),
+        'csv': (
+            'sequence,row0,row1', '012,001,011', '210,100,110',
+        ),
+        'json': (
+            '{"sequence": "012", "row0": "001", "row1": "011"}',
+            '{"sequence": "210", "row0": "100", "row1": "110"}',
+        ),
+    },
+    'reconstruct 001/011 000010/000110/011110/010110': {
+        'text': (
+            '012', '02?340',
+        ),
+        'csv': (
+            'rows,sequence', '001/011,012', '000010/000110/011110/010110,02?340',
+        ),
+        'json': (
+            '{"rows": "001/011", "sequence": "012"}',
+            '{"rows": "000010/000110/011110/010110", "sequence": "02?340"}',
+        ),
+    },
+    'transform --k 2 --reverse 012 201': {
+        'text': (
+            '210', '021',
+        ),
+        'csv': (
+            'sequence,transformed', '012,210', '201,021',
+        ),
+        'json': (
+            '{"sequence": "012", "transformed": "210"}',
+            '{"sequence": "201", "transformed": "021"}',
+        ),
+    },
+    'transform --k 3 --shift 1 0123 0120': {
+        'text': (
+            '1230', '1231',
+        ),
+        'csv': (
+            'sequence,transformed', '0123,1230', '0120,1231',
+        ),
+        'json': (
+            '{"sequence": "0123", "transformed": "1230"}',
+            '{"sequence": "0120", "transformed": "1231"}',
+        ),
+    },
+    'ball size --k 2 --spec (1,0) 012 210': {
+        'text': (
+            '3', '3',
+        ),
+        'csv': (
+            'sequence,size,closed_form', '012,3,true', '210,3,true',
+        ),
+        'json': (
+            '{"sequence": "012", "size": 3, "closed_form": true}',
+            '{"sequence": "210", "size": 3, "closed_form": true}',
+        ),
+    },
+    'ball size --k 2 --spec d:(1,0) 012 0120': {
+        'text': (
+            '2', '3',
+        ),
+        'csv': (
+            'sequence,size,closed_form', '012,2,true', '0120,3,true',
+        ),
+        'json': (
+            '{"sequence": "012", "size": 2, "closed_form": true}',
+            '{"sequence": "0120", "size": 3, "closed_form": true}',
+        ),
+    },
+    'ball enumerate --k 2 --spec (1,0) 01 21': {
+        'text': (
+            '01', '02', '11', '21', '22',
+        ),
+        'csv': (
+            'sequence,member', '01,01', '01,02', '21,11', '21,21', '21,22',
+        ),
+        'json': (
+            '{"sequence": "01", "member": "01"}', '{"sequence": "01", "member": "02"}',
+            '{"sequence": "21", "member": "11"}', '{"sequence": "21", "member": "21"}',
+            '{"sequence": "21", "member": "22"}',
+        ),
+    },
+    'ball enumerate --k 2 --spec d:(1,0) 01 21': {
+        'text': (
+            '0/01', '0/11', '1/11',
+        ),
+        'csv': (
+            'sequence,member', '01,0/01', '21,0/11', '21,1/11',
+        ),
+        'json': (
+            '{"sequence": "01", "member": "0/01"}', '{"sequence": "21", "member": "0/11"}',
+            '{"sequence": "21", "member": "1/11"}',
+        ),
+    },
+    'ball inbound --k 2 --spec (1,0) 01 21': {
+        'text': (
+            '01', '02', '11', '21', '22',
+        ),
+        'csv': (
+            'sequence,member', '01,01', '01,02', '21,11', '21,21', '21,22',
+        ),
+        'json': (
+            '{"sequence": "01", "member": "01"}', '{"sequence": "01", "member": "02"}',
+            '{"sequence": "21", "member": "11"}', '{"sequence": "21", "member": "21"}',
+            '{"sequence": "21", "member": "22"}',
+        ),
+    },
+    'ball received --k 2 --spec (1,0) 01 21': {
+        'text': (
+            '00/01', '01/01', '10/01', '00/11', '10/11', '11/11',
+        ),
+        'csv': (
+            'sequence,member', '01,00/01', '01,01/01', '01,10/01', '21,00/11', '21,10/11',
+            '21,11/11',
+        ),
+        'json': (
+            '{"sequence": "01", "member": "00/01"}',
+            '{"sequence": "01", "member": "01/01"}',
+            '{"sequence": "01", "member": "10/01"}',
+            '{"sequence": "21", "member": "00/11"}',
+            '{"sequence": "21", "member": "10/11"}',
+            '{"sequence": "21", "member": "11/11"}',
+        ),
+    },
+    'bounds --table table4 --n-min 2 --n-max 3': {
+        'text': (
+            'n\tgspb_del\taspv_d(1,0)\taspv_d(1)', '2\t7\t6\t3', '3\t18\t14\t7',
+        ),
+        'csv': (
+            'n,gspb_del,"aspv_d(1,0)",aspv_d(1)', '2,7,6,3', '3,18,14,7',
+        ),
+        'json': (
+            '{"n": "2", "gspb_del": "7", "aspv_d(1,0)": "6", "aspv_d(1)": "3"}',
+            '{"n": "3", "gspb_del": "18", "aspv_d(1,0)": "14", "aspv_d(1)": "7"}',
+        ),
+    },
+    'bounds --table table4 --n-min 3 --n-max 2': {
+        'text': ('n\tgspb_del\taspv_d(1,0)\taspv_d(1)',),
+        'csv': (),
+        'json': (),
+    },
+    'bounds --n 3 --spec (1,0)': {
+        'text': (
+            'sphere\tvalid_upper\t27\t27\te <= n', 'gspb\tvalid_upper\t10\t10\tn >= 0',
+            'average\taverage_value\t3\t3\tn >= 0', 'aspv\taverage_value\t9\t9\tn >= 0',
+            'lower:coset\tvalid_lower\t27/4\t6\tn >= 0',
+            'lower:fiber\tvalid_lower\t9\t9\tk >= 2',
+        ),
+        'csv': (
+            'bound,kind,value,floor,validity', 'sphere,valid_upper,27,27,e <= n',
+            'gspb,valid_upper,10,10,n >= 0', 'average,average_value,3,3,n >= 0',
+            'aspv,average_value,9,9,n >= 0', 'lower:coset,valid_lower,27/4,6,n >= 0',
+            'lower:fiber,valid_lower,9,9,k >= 2',
+        ),
+        'json': (
+            ('{"bound": "sphere", "kind": "valid_upper", "value": 27, "floor": 27, '
+             '"validity": "e <= n"}'),
+            ('{"bound": "gspb", "kind": "valid_upper", "value": 10, "floor": 10, '
+             '"validity": "n >= 0"}'),
+            ('{"bound": "average", "kind": "average_value", "value": 3, "floor": 3, '
+             '"validity": "n >= 0"}'),
+            ('{"bound": "aspv", "kind": "average_value", "value": 9, "floor": 9, '
+             '"validity": "n >= 0"}'),
+            ('{"bound": "lower:coset", "kind": "valid_lower", "value": "27/4", '
+             '"floor": 6, "validity": "n >= 0"}'),
+            ('{"bound": "lower:fiber", "kind": "valid_lower", "value": 9, "floor": 9, '
+             '"validity": "k >= 2"}'),
+        ),
+    },
+}
+#: the one error line of a mode that refuses; the first bad input decides it
+REFUSALS = {
+    "ball inbound --k 2 --spec d:(1,0) 01 21":
+        "error: inbound mode applies to substitution specs\n",
+    "ball received --k 2 --spec d:1 01 21":
+        "error: received mode applies to substitution specs\n",
+    "ball received --k 2 --spec d:1 3 21": "error: letter 3 outside Sigma_3\n",
+}
+
+
+def test_row_layouts_are_pinned_byte_for_byte():
+    for argv, formats in LAYOUTS.items():
+        for fmt, lines in formats.items():
+            want = "".join(line + "\n" for line in lines)
+            assert run_cli(*argv.split(), "--format", fmt) == (0, want, ""), (argv, fmt)
+    for argv, err in REFUSALS.items():
+        for fmt in ("text", "csv", "json"):
+            assert run_cli(*argv.split(), "--format", fmt) == (1, "", err), (argv, fmt)
+
+
 def test_reused_parser_matches_a_fresh_one(monkeypatch):
     calls = [
         ("bounds", "--n", "8", "--spec", "(1,0)", "--bound", "gspb",
@@ -1205,7 +1400,15 @@ def test_the_environment_does_not_raise_a_cap(monkeypatch):
 
 
 def test_optimal_inner_codes_past_their_reach_are_refused_at_once():
-    # the length-9 search is refused before the (very long) length-8 one runs
-    for word in ("0" * 9, "012012012012"):
+    # the length-8 search (very long) is refused before any shorter one runs
+    for word in ("0" * 8, "0" * 9, "012012012012"):
         assert run_cli("encode", "--construction", "c2", "--inner", "optimal", word) == (
+            1, "", "error: optimal_binary_single_error supports length <= 7\n")
+    assert run_cli("verify", "--construction", "c2", "--inner", "optimal",
+                   "--n", "8") == (
+        1, "", "error: optimal_binary_single_error supports length <= 7\n")
+    # --caps 8 admits length 8: the refusal moves to length 9 (not searched here)
+    for argv in (("encode", "--construction", "c2", "--inner", "optimal", "0" * 9),
+                 ("search-optimal", "--binary-length", "9")):
+        assert run_cli(*argv, "--caps", "8") == (
             1, "", "error: optimal_binary_single_error supports length <= 8\n")

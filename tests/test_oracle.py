@@ -261,7 +261,9 @@ def test_size_caps_guard_exponential_searches():
         optimal_code_size(12, 2, parse_spec("(1,0)"))
     with pytest.raises(SizeLimitError):
         optimal_binary_single_error(-1)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="length <= 7"):
+        optimal_binary_single_error(8)
+    with pytest.raises(SizeLimitError, match="length <= 8"), raised_caps(8):
         optimal_binary_single_error(9)
 
 
