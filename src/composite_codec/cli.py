@@ -507,8 +507,7 @@ def _verify_construction(args, out):
     decode = partial(entry.decode, run)
     count = failures = 0
     for target, word in pairs:
-        # the listing prints the cases in order, so it keeps them
-        cases = _cases(run, word) if args.summary else sorted(_cases(run, word))
+        cases = list(_cases(run, word))
         report = oracle_mod.exhaustive_decode_check(
             [target], lambda _: (y for _, _, y in cases), decode)
         count += report.cases
@@ -516,7 +515,7 @@ def _verify_construction(args, out):
         if args.summary:
             continue
         wrong = {y: got for _, y, got in report.failures}
-        for channel, position, received in cases:
+        for channel, position, received in sorted(cases):
             got = wrong.get(received, target)
             shown = (_format_rows(received) if run.rows_input
                      else format_sequence(received, run.alphabet))
@@ -543,7 +542,7 @@ def _verify_codebook(args, out):
     emitter = _Emitter(args.format, out, ("codeword_a", "codeword_b"))
     conflicts = 0
     for i, mask in enumerate(oracle_mod.conflict_graph(balls)):
-        for j in oracle_mod._bits(mask >> (i + 1) << (i + 1)):
+        for j in oracle_mod.set_bits(mask >> (i + 1) << (i + 1)):
             conflicts += 1
             emitter.row((format_sequence(words[i], args.k),
                          format_sequence(words[j], args.k)))

@@ -56,7 +56,7 @@ class TransversalReport:
 # maximum independent set
 
 
-def _bits(mask: int) -> list:
+def set_bits(mask: int) -> list:
     """Set bit positions of mask, ascending."""
     out = []
     while mask:
@@ -70,7 +70,7 @@ def _induced(adj: list, order: list) -> list:
     vertex order[r] renumbered r; order must hold every neighbour of the
     vertices it lists."""
     pos = {v: r for r, v in enumerate(order)}
-    return [sum(1 << pos[u] for u in _bits(adj[v])) for v in order]
+    return [sum(1 << pos[u] for u in set_bits(adj[v])) for v in order]
 
 
 def _clique_order(n_vertices: int, adj: list) -> list:
@@ -179,7 +179,7 @@ def _components(n_vertices: int, adj: list) -> list:
         comp = frontier = unseen & -unseen
         while frontier:
             reach = 0
-            for v in _bits(frontier):
+            for v in set_bits(frontier):
                 reach |= adj[v]
             frontier = reach & ~comp
             comp |= frontier
@@ -204,7 +204,7 @@ def _max_independent_set(n_vertices: int, adj: list) -> list:
     sys.setrecursionlimit(max(limit, 2 * n_vertices + 200))
     try:
         for comp in _components(n_vertices, adj):
-            vertices = _bits(comp)
+            vertices = set_bits(comp)
             solver = _MisSolver(len(vertices), _induced(adj, vertices))
             chosen += (vertices[i] for i in solver.lex_smallest_witness())
     finally:
@@ -259,11 +259,11 @@ def optimal_binary_single_error(length: int) -> OracleResult:
     i.e. with minimum Hamming distance 3: the k = 1 composite code under
     the per-channel spec (1,).
 
-    Lengths up to the cap (default 7, raised by error_model.raised_caps)
-    are searched; up to 7 they solve in well under a second, while length
-    8 is a famously hard search instance that can run for a very long
-    time."""
-    cap = _cap(7)
+    Lengths up to the cap are searched: 7 by default, each in well under
+    a second; raising the caps (error_model.raised_caps) to 8 or more
+    admits length 8, a famously hard search instance that can run for a
+    very long time.  Longer lengths are refused whatever the caps."""
+    cap = min(_cap(7), 8)
     if not 0 <= length <= cap:
         raise SizeLimitError(f"optimal_binary_single_error supports length <= {cap}")
     return optimal_code_size(length, 1, PerChannel((1,)))

@@ -1407,8 +1407,12 @@ def test_optimal_inner_codes_past_their_reach_are_refused_at_once():
     assert run_cli("verify", "--construction", "c2", "--inner", "optimal",
                    "--n", "8") == (
         1, "", "error: optimal_binary_single_error supports length <= 7\n")
-    # --caps 8 admits length 8: the refusal moves to length 9 (not searched here)
-    for argv in (("encode", "--construction", "c2", "--inner", "optimal", "0" * 9),
-                 ("search-optimal", "--binary-length", "9")):
-        assert run_cli(*argv, "--caps", "8") == (
-            1, "", "error: optimal_binary_single_error supports length <= 8\n")
+    # --caps 8 admits length 8: the refusal moves to length 9 (not searched
+    # here), and no larger cap moves it further
+    for caps in ("8", "12", "2048"):
+        for argv in (("encode", "--construction", "c2", "--inner", "optimal", "0" * 9),
+                     ("verify", "--construction", "c2", "--inner", "optimal",
+                      "--n", "9"),
+                     ("search-optimal", "--binary-length", "9")):
+            assert run_cli(*argv, "--caps", caps) == (
+                1, "", "error: optimal_binary_single_error supports length <= 8\n")

@@ -38,9 +38,7 @@ INT_POOLS = {
     "m": INTS,
     "label": (-1, 0, 1, 3, 5, 99, 10 ** 30),
     "caps": (-5, 0, 3, 12),
-    # past the largest --caps drawn, so refused whatever the caps: a cap
-    # raised to 8 or more admits a search no test can wait for
-    "binary_length": (-1, 0, 1, 4, 13, 10 ** 6),
+    "binary_length": (-1, 0, 1, 4, 9, 10 ** 6),
     "n_min": (-3, 0, 2, 9),
     "n_max": (-1, 0, 3, 20, 60),
     "sample": (-3, 0, 2, 10 ** 9),

@@ -263,8 +263,9 @@ def test_size_caps_guard_exponential_searches():
         optimal_binary_single_error(-1)
     with pytest.raises(SizeLimitError, match="length <= 7"):
         optimal_binary_single_error(8)
-    with pytest.raises(SizeLimitError, match="length <= 8"), raised_caps(8):
-        optimal_binary_single_error(9)
+    for caps in (8, 12):
+        with pytest.raises(SizeLimitError, match="length <= 8"), raised_caps(caps):
+            optimal_binary_single_error(9)
 
 
 def _pairwise_adjacency(balls):
