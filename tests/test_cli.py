@@ -274,6 +274,39 @@ def test_decode_roundtrip_after_deletion():
     assert (code, out) == (0, "0120\n")
 
 
+# received words one or two bit flips past a correctable error, one per
+# failure text of the substitution and deletion decoders
+@pytest.mark.parametrize("args, text", [
+    (("c1", "--spec", "(1,1)", "1001/0000"),
+     "channel 0: syndrome 5 points outside the word; more than one error"),
+    (("c1", "--spec", "(1,1)", "110/000"), "corrected rows disagree at column 0"),
+    (("c2", "011/011"), "syndrome 3 points outside the word; more than one error"),
+    (("c2", "110/000"), "2 inconsistent columns; budget is one error"),
+    (("c2", "--k", "3", "0/1/0"), "column 0 not explainable by one first-channel error"),
+    (("c2", "101/001"), "repaired word is not a codeword"),
+    (("c2", "--inner", "optimal", "101000/111001"),
+     "fingerprint is not within one error of a codeword"),
+    (("lee", "110/000"), "2 inconsistent columns; budget is one error"),
+    (("lee", "100/010"), "column 0 repair does not match the checksum"),
+    (("lee", "100/100"), "checksum residue 2 needs an out-of-range level at column 1"),
+    (("ternary", "111"),
+     "0 data words match the syndromes; more than one deletion or a corrupted tail"),
+    (("c3", "100/0000"), "rows disagree at column 0"),
+    (("c5", "100/0000"), "rows disagree at column 0"),
+    (("c4", "100/0110"), "rows disagree at column 0"),
+    (("c4", "110/0111"),
+     "0 data words match the syndromes; more than one deletion or a corrupted tail"),
+    (("c6", "100100/0110110"), "rows disagree at column 0"),
+    (("c6", "110110/0110110"),
+     "0 data words match the syndromes; more than one deletion or a corrupted tail"),
+    (("c6", "110100/0010110"),
+     "boundary pattern (0, 0) on the intact row is not reachable by one deletion"),
+    (("c6", "0110100/110101"), "syndrome decoding contradicts the intact row"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_every_decoder_failure_text_is_pinned(args, text):
+    assert run_cli("decode", "--construction", *args) == (1, "", f"error: {text}\n")
+
+
 def test_verify_construction_summary():
     code, out, _ = run_cli("verify", "--construction", "c3", "--n", "4",
                            "--summary", "--format", "json")
