@@ -59,10 +59,7 @@ class BoundResult:
 
 def format_rational(x: Fraction) -> str:
     """Exact integers plain, non-integers as "p/q"."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def is_prime_power(x: int) -> bool:
@@ -135,19 +132,10 @@ def asymptotic_upper(n: int, k: int, spec, tighter: bool = False) -> BoundResult
     return BoundResult(value, ASYMPTOTIC, "n -> infinity")
 
 
-def _sqrt_bracket(x: Fraction, steps: int = 40) -> tuple[Fraction, Fraction]:
-    """Rational lo <= sqrt(x) <= hi, tightened by bisection."""
-    if x < 0:
-        raise DomainError("negative radicand")
-    root = isqrt(x.numerator // x.denominator)
-    lo, hi = Fraction(root), Fraction(root + 2)
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid * mid <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+def _sqrt_bracket(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Rational lo <= sqrt(x) < hi = lo + 2^-39, lo on the 2^-39 grid."""
+    lo = Fraction(isqrt(x.numerator * 4 ** 39 // x.denominator), 2 ** 39)
+    return lo, lo + Fraction(1, 2 ** 39)
 
 
 def _deletion_gspb(n: int, k: int) -> Fraction:

@@ -25,6 +25,10 @@ class DomainError(ValueError):
     """Input violates a documented precondition."""
 
 
+class DecodeFailure(DomainError):
+    """The received word is not decodable within the promised error budget."""
+
+
 @dataclass(frozen=True)
 class CompositeParams:
     """Base alphabet size q and resolution k."""

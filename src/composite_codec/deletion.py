@@ -15,7 +15,8 @@ Composite constructions:
   not knowing which channel shrank (systematic, k = 2).
 
 Decoders take the received rows; which channel lost a bit is visible from
-the row lengths.
+the row lengths.  The systematic decoders (ternary, c4, c6) share one
+syndrome search, _reinsert.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import product
 from composite_codec.core import (
     _BITS,
     UNKNOWN,
+    DecodeFailure,
     DomainError,
     _check_label,
     _check_length,
@@ -36,7 +38,6 @@ from composite_codec.core import (
     decompose_sequence,
     reconstruct_rows,
 )
-from composite_codec.substitution import DecodeFailure
 
 
 def _check_binary(x):
@@ -175,15 +176,19 @@ def ternary_decode(received, m: int):
             f"expected length {m + width + 2}, got {len(received)}")
     if received[m - 1] != received[m]:
         return received[:m]
-    marker = received[m - 1]
-    digits = received[m + 1:]
-    want_a = _undigits(digits[:width], 3)
-    want_b = digits[width]
-    last = (marker - 1) % 3
-    stub = received[:m - 1]
+    # the marker symbol is the last data symbol plus one
+    return _reinsert(received[:m - 1], (received[m - 1] - 1) % 3,
+                     received[m + 1:], (0, 1, 2))
+
+
+def _reinsert(stub, last, digits, alphabet):
+    """The one word over alphabet that is stub with one symbol inserted,
+    ends in last and has the digits of ternary_redundancy: ternary
+    searches (0, 1, 2), c4 (row 0) and c6 (row0+row1) search (0, 1)."""
+    want_a, want_b = _undigits(digits[:-1], 3), digits[-1]
     matches = set()
-    for pos in range(m):
-        for symbol in (0, 1, 2):
+    for pos in range(len(stub) + 1):
+        for symbol in alphabet:
             cand = stub[:pos] + (symbol,) + stub[pos:]
             if (cand[-1] == last and sum(cand) % 3 == want_b
                     and ascent_syndrome(cand) == want_a):
@@ -309,21 +314,23 @@ def marker_row_decode(rows):
     """Recover the message from (row 0 minus one bit, row 1 intact)."""
     (y0, y1), _, n = _short_row(_check_rows(rows, 2), first=True)
     m = message_length(n, 3)
-    width = ceil_log(3, m)
-    s1 = y1[:m]
+    tail = ceil_log(3, m) + 1
     if y0[m - 1] != y0[m]:
-        return _reconstruct_or_fail((y0[:m], s1))
-    # the deletion hit row 0's data; rebuild the plain ternary received word
-    marker = 1 if y0[m - 1] == 1 else 2  # row-0 bit of the marker letter
-    digits = _reconstruct_or_fail((y0[-(width + 1):], y1[-(width + 1):]))
-    word = y0[:m - 1] + (marker, marker) + digits
-    return _reconstruct_or_fail((ternary_decode(word, m), s1))
+        return _reconstruct_or_fail((y0[:m], y1[:m]))
+    # the deletion hit row 0's data: the marker bit, 1 - last, slid into view
+    digits = _reconstruct_or_fail((y0[-tail:], y1[-tail:]))
+    x0 = _reinsert(y0[:m - 1], 1 - y0[m - 1], digits, (0, 1))
+    return _reconstruct_or_fail((x0, y1[:m]))
 
 
 # -- either-channel deletion, systematic
 
 
 _PAIR_MARKER = {0: 2, 1: 1, 2: 0}
+#: per row: its bits at the last data letter and the marker -> that letter
+_PAIR_BOUNDARY = tuple({decompose_sequence((last, marker), 2)[row]: last
+                        for last, marker in _PAIR_MARKER.items()}
+                       for row in (0, 1))
 
 
 def marker_pair_encode(message):
@@ -347,47 +354,37 @@ def marker_pair_encode(message):
 def marker_pair_decode(rows):
     """Recover the message whichever channel lost a bit.
 
-    The intact row reveals the last data letter (hence the stored ternary
-    marker); the short row is framed either by the marker pair or, when the
-    marker cannot differ from the data on that row (last letter 1), by the
-    fixed 0 2 pattern behind it.
+    The intact row reveals the last data letter (hence the last bit of
+    row0+row1); the short row is framed either by the marker pair or,
+    when the marker cannot differ from the data on that row (last letter
+    1), by the fixed 0 2 pattern behind it.
     """
-    (y0, y1), channel, n = _short_row(_check_rows(rows, 2))
-    short, intact = (y0, y1) if channel == 0 else (y1, y0)
+    rows, channel, n = _short_row(_check_rows(rows, 2))
+    short, intact = rows[channel], rows[1 - channel]
     m = message_length(n, 5, span=2)
-    width = ceil_log(3, 2 * m)
     pattern = (intact[m - 1], intact[m])
-    if channel == 0:
-        last_by_pattern = {(0, 1): 0, (1, 1): 1, (1, 0): 2}
-    else:
-        last_by_pattern = {(0, 1): 0, (0, 0): 1, (1, 0): 2}
-    last_letter = last_by_pattern.get(pattern)
+    last_letter = _PAIR_BOUNDARY[1 - channel].get(pattern)
     if last_letter is None:
         raise DecodeFailure(
             f"boundary pattern {pattern} on the intact row is not reachable "
             "by one deletion")
     if last_letter == 1:
         # marker equals the data on this row; frame off the fixed 0 2 pair
-        probe = short[m + 2] if channel == 0 else short[m + 1]
-        data_intact = probe == (0 if channel == 0 else 1)
+        # (intact data leaves 0 at m + 2 on row 0, 1 at m + 1 on row 1)
+        data_intact = short[m + 2 - channel] == channel
     else:
         data_intact = short[m - 1] != short[m]
     if data_intact:
-        s0, s1 = (short[:m], intact[:m]) if channel == 0 else (intact[:m], short[:m])
-        return _reconstruct_or_fail((s0, s1))
-    ternary_marker = (1 if last_letter == 0 else 2)
-    digits = _reconstruct_or_fail((y0[-(width + 1):], y1[-(width + 1):]))
-    if channel == 0:
-        stacked = short[:m - 1] + intact[:m]
-    else:
-        stacked = intact[:m] + short[:m - 1]
-    word = stacked + (ternary_marker, ternary_marker) + digits
-    u = ternary_decode(word, 2 * m)
-    s0, s1 = u[:m], u[m:]
-    check = s1 if channel == 0 else s0
-    if check != intact[:m]:
+        return _reconstruct_or_fail((rows[0][:m], rows[1][:m]))
+    # row0+row1 data with one bit missing; its last bit is row 1's
+    stub = rows[0][:m - 1 + channel] + rows[1][:m - channel]
+    tail = ceil_log(3, 2 * m) + 1
+    digits = _reconstruct_or_fail((rows[0][-tail:], rows[1][-tail:]))
+    u = _reinsert(stub, int(last_letter > 0), digits, (0, 1))
+    data = (u[:m], u[m:])
+    if data[1 - channel] != intact[:m]:
         raise DecodeFailure("syndrome decoding contradicts the intact row")
-    return _reconstruct_or_fail((s0, s1))
+    return _reconstruct_or_fail(data)
 
 
 # ---------------------------------------------------------------------------

@@ -259,13 +259,12 @@ def optimal_binary_single_error(length: int) -> OracleResult:
     i.e. with minimum Hamming distance 3: the k = 1 composite code under
     the per-channel spec (1,).
 
-    Lengths up to the cap are searched: 7 by default, each in well under
-    a second; raising the caps (error_model.raised_caps) to 8 or more
-    admits length 8, a famously hard search instance that can run for a
-    very long time.  Longer lengths are refused whatever the caps."""
-    cap = min(_cap(7), 8)
-    if not 0 <= length <= cap:
-        raise SizeLimitError(f"optimal_binary_single_error supports length <= {cap}")
+    Lengths up to 7 are searched, each in well under a second.  Longer
+    ones are refused whatever the caps (error_model.raised_caps): length 8
+    is a famously hard search instance that can run for a very long
+    time."""
+    if not 0 <= length <= 7:
+        raise SizeLimitError("optimal_binary_single_error supports length <= 7")
     return optimal_code_size(length, 1, PerChannel((1,)))
 
 

@@ -16,12 +16,12 @@ come off the channels, including column-inconsistent ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add
 
 from composite_codec.core import (
     UNKNOWN,
+    DecodeFailure,
     DomainError,
     _check_label,
     _check_length,
@@ -34,40 +34,18 @@ from composite_codec.core import (
 )
 
 
-class DecodeFailure(DomainError):
-    """The received word is not decodable within the promised error budget."""
-
-
 # ---------------------------------------------------------------------------
-# binary block codes used per row / as inner codes
+# binary block codes used per row / as inner codes: each has length,
+# corrects, size, member(word), decode(word) and codewords()
 
 
-class BinaryCode:
-    """Interface: length, corrects, size, member(x), decode(y), codewords()."""
-
-    length: int
-    corrects: int
-
-    def member(self, word) -> bool:
-        raise NotImplementedError
-
-    def decode(self, word):
-        raise NotImplementedError
-
-    def codewords(self):
-        raise NotImplementedError
-
-    @property
-    def size(self) -> int:
-        raise NotImplementedError
-
-    def _check_length(self, word):
-        if len(word) != self.length:
-            raise DomainError(
-                f"word length {len(word)} != code length {self.length}")
+def _check_word(code, word) -> None:
+    if len(word) != code.length:
+        raise DomainError(
+            f"word length {len(word)} != code length {code.length}")
 
 
-class TrivialCode(BinaryCode):
+class TrivialCode:
     """The full binary space; corrects nothing, accepts everything."""
 
     corrects = 0
@@ -77,11 +55,11 @@ class TrivialCode(BinaryCode):
         self.length = length
 
     def member(self, word) -> bool:
-        self._check_length(word)
+        _check_word(self, word)
         return True
 
     def decode(self, word):
-        self._check_length(word)
+        _check_word(self, word)
         return tuple(word)
 
     def codewords(self):
@@ -92,7 +70,7 @@ class TrivialCode(BinaryCode):
         return 2 ** self.length
 
 
-class HammingCosetCode(BinaryCode):
+class HammingCosetCode:
     """A coset of the (possibly shortened) Hamming code.
 
     Parity checks are the binary expansions of the positions 1..length, so
@@ -118,11 +96,11 @@ class HammingCosetCode(BinaryCode):
         return s
 
     def member(self, word) -> bool:
-        self._check_length(word)
+        _check_word(self, word)
         return self._syndrome(word) == self.coset
 
     def decode(self, word):
-        self._check_length(word)
+        _check_word(self, word)
         err = self._syndrome(word) ^ self.coset
         if err == 0:
             return tuple(word)
@@ -141,7 +119,7 @@ class HammingCosetCode(BinaryCode):
         return 2 ** (self.length - self.bits)
 
 
-class ExplicitCode(BinaryCode):
+class ExplicitCode:
     """An arbitrary codebook with nearest-codeword decoding.
 
     Ties go to the lexicographically smallest nearest codeword, so decoding
@@ -170,11 +148,11 @@ class ExplicitCode(BinaryCode):
         self.corrects = (dmin - 1) // 2 if len(words) > 1 else length
 
     def member(self, word) -> bool:
-        self._check_length(word)
+        _check_word(self, word)
         return tuple(word) in self._members
 
     def decode(self, word):
-        self._check_length(word)
+        _check_word(self, word)
         word = tuple(word)
         best, best_dist = None, None
         for c in self._words:
@@ -254,6 +232,16 @@ def product_decode(rows, k: int, row_codes):
     return s
 
 
+def _broken_column(rows):
+    """The rows read back, and the index of their one '?' column (None if
+    every column reads); more than one '?' exceeds a one-error budget."""
+    y = reconstruct_rows(rows)
+    broken = y.count(UNKNOWN)
+    if broken > 1:
+        raise DecodeFailure(f"{broken} inconsistent columns; budget is one error")
+    return y, y.index(UNKNOWN) if broken else None
+
+
 # ---------------------------------------------------------------------------
 # the fiber construction
 
@@ -283,12 +271,10 @@ def hamming_fiber_inners(n: int, coset: int = 0) -> dict:
 
 
 def optimal_fiber_inners(n: int) -> dict:
-    """Largest single-error inner codes, from exhaustive search (n <= 7
-    unless the cap is raised).
+    """Largest single-error inner codes, from exhaustive search (n <= 7).
 
     The longest is searched first, so a length past the search's reach
-    is refused before the shorter searches run (length 8 alone can take
-    very long)."""
+    is refused before the shorter searches run."""
     from composite_codec.oracle import optimal_binary_single_error
 
     return {ell: ExplicitCode(ell, optimal_binary_single_error(ell).witness)
@@ -351,13 +337,8 @@ def fiber_decode(rows, k: int, inners):
     """
     _check_fiber_k(k)
     rows = _check_rows(rows, k)
-    y = reconstruct_rows(rows)
-    unknown = [i for i, v in enumerate(y) if v == UNKNOWN]
-    if len(unknown) > 1:
-        raise DecodeFailure(
-            f"{len(unknown)} inconsistent columns; budget is one error")
-    if unknown:
-        j = unknown[0]
+    y, j = _broken_column(rows)
+    if j is not None:
         top = list(rows[0])
         top[j] ^= 1
         s = reconstruct_rows([tuple(top)] + list(rows[1:]))
@@ -425,13 +406,8 @@ def checksum_decode(rows, k: int, label: int = 0):
     n = len(rows[0]) if rows else 0
     mod = 2 * n + 1
     _check_label(label, mod, n)
-    y = reconstruct_rows(rows)
-    unknown = [i for i, v in enumerate(y) if v == UNKNOWN]
-    if len(unknown) > 1:
-        raise DecodeFailure(
-            f"{len(unknown)} inconsistent columns; budget is one error")
-    if unknown:
-        j = unknown[0]
+    y, j = _broken_column(rows)
+    if j is not None:
         matches = []
         for level in _one_flip_letters([row[j] for row in rows]):
             s = list(y)

@@ -307,6 +307,17 @@ def test_every_decoder_failure_text_is_pinned(args, text):
     assert run_cli("decode", "--construction", *args) == (1, "", f"error: {text}\n")
 
 
+@pytest.mark.parametrize("args", [
+    ("c4", "00011001/110111011"), ("c4", "10000/010000"), ("c6", "110100/1110100"),
+])
+def test_c4_and_c6_reinsert_only_bits_into_a_row(args):
+    # c4 and c6 rows are binary: a word past one deletion ends in the
+    # syndrome text, never in a row holding the ternary symbol 2
+    assert run_cli("decode", "--construction", *args) == (
+        1, "", "error: 0 data words match the syndromes; more than one deletion "
+        "or a corrupted tail\n")
+
+
 def test_verify_construction_summary():
     code, out, _ = run_cli("verify", "--construction", "c3", "--n", "4",
                            "--summary", "--format", "json")
@@ -1433,19 +1444,15 @@ def test_the_environment_does_not_raise_a_cap(monkeypatch):
 
 
 def test_optimal_inner_codes_past_their_reach_are_refused_at_once():
-    # the length-8 search (very long) is refused before any shorter one runs
-    for word in ("0" * 8, "0" * 9, "012012012012"):
-        assert run_cli("encode", "--construction", "c2", "--inner", "optimal", word) == (
-            1, "", "error: optimal_binary_single_error supports length <= 7\n")
-    assert run_cli("verify", "--construction", "c2", "--inner", "optimal",
-                   "--n", "8") == (
-        1, "", "error: optimal_binary_single_error supports length <= 7\n")
-    # --caps 8 admits length 8: the refusal moves to length 9 (not searched
-    # here), and no larger cap moves it further
-    for caps in ("8", "12", "2048"):
-        for argv in (("encode", "--construction", "c2", "--inner", "optimal", "0" * 9),
-                     ("verify", "--construction", "c2", "--inner", "optimal",
-                      "--n", "9"),
-                     ("search-optimal", "--binary-length", "9")):
-            assert run_cli(*argv, "--caps", caps) == (
-                1, "", "error: optimal_binary_single_error supports length <= 8\n")
+    # the length-8 search (very long) is refused before any shorter one
+    # runs, and no cap admits it
+    refusal = (1, "", "error: optimal_binary_single_error supports length <= 7\n")
+    for caps in ((), ("--caps", "8"), ("--caps", "12"), ("--caps", "2048")):
+        for word in ("0" * 8, "0" * 9, "012012012012"):
+            assert run_cli("encode", "--construction", "c2", "--inner", "optimal",
+                           word, *caps) == refusal
+        for length in ("8", "9"):
+            assert run_cli("verify", "--construction", "c2", "--inner", "optimal",
+                           "--n", length, *caps) == refusal
+            assert run_cli("search-optimal", "--binary-length", length,
+                           *caps) == refusal

@@ -264,8 +264,9 @@ def test_size_caps_guard_exponential_searches():
     with pytest.raises(SizeLimitError, match="length <= 7"):
         optimal_binary_single_error(8)
     for caps in (8, 12):
-        with pytest.raises(SizeLimitError, match="length <= 8"), raised_caps(caps):
-            optimal_binary_single_error(9)
+        for length in (8, 9):
+            with pytest.raises(SizeLimitError, match="length <= 7"), raised_caps(caps):
+                optimal_binary_single_error(length)
 
 
 def _pairwise_adjacency(balls):
