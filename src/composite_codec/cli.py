@@ -82,15 +82,9 @@ def _open_out(args):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _cell(value) -> str:
-    if isinstance(value, Fraction):
-        return bounds_mod.format_rational(value)
     if isinstance(value, float):
-        return _fmt_float(value)
+        return format(float(value), ".12g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -474,19 +468,17 @@ def _verify_construction(args, out):
     sampling = (("summary",) if args.summary
                 else ("sample", "seed") if args.sample is not None else ())
     entry, run = _construction(args, length, *sampling)
-    # decode target -> codeword; a systematic codeword decodes to its message
+    # (decode target, codeword); a systematic codeword decodes to its message
     if entry.encode is None:
         if args.n is None:
             raise DomainError("--n is required to verify a membership code")
-        word_of = {word: word for word in entry.members(run, args.n)}
+        pairs = [(word, word) for word in entry.members(run, args.n)]
     else:
         if args.m is None:
             raise DomainError("--m (message length) is required to verify "
                               "a systematic code")
-        word_of = {msg: entry.encode(run, msg)
-                   for msg in all_sequences(args.m, run.alphabet)}
-
-    pairs = list(word_of.items())
+        pairs = [(msg, entry.encode(run, msg))
+                 for msg in all_sequences(args.m, run.alphabet)]
     if args.summary:
         expected = entry.size(run, args.n) if entry.size else len(pairs)
         if expected != len(pairs):
@@ -557,24 +549,20 @@ def _verify_transversal(args, out):
     spec = em.parse_spec(args.spec)
     n, k = args.n, args.k
     weight = bounds_mod.gspb_weight_rule(n, k, spec)
-    universe: set = set()
-
-    def ball_fn(s):
-        ball = em.enumerate_ball(s, k, spec)
-        universe.update(ball)
-        return ball
     report = oracle_mod.check_fractional_transversal(
-        all_sequences(n, k), ball_fn, weight)
+        all_sequences(n, k), partial(em.enumerate_ball, k=k, spec=spec),
+        weight)
+    outputs = report.outputs
     if em.shortened_rows(spec, k) == (0,):
         expected = em.vertex_set_size(n, k)
-        if len(universe) != expected:
+        if len(outputs) != expected:
             raise DomainError(
-                f"output universe has {len(universe)} elements, closed form "
+                f"output universe has {len(outputs)} elements, closed form "
                 f"gives {expected}")
         # gspb_upper sums N(n-1; rho; w) V(n; w; k) outputs per (runs,
         # weight) of the deleted row, which is empty at n = 1; the
         # enumerated outputs must match it
-        seen = Counter((em.runs(y0), sum(y0)) for y0, *_ in universe if y0)
+        seen = Counter((em.runs(y0), sum(y0)) for y0, *_ in outputs if y0)
         for (rho, w), count in sorted(seen.items()):
             closed = em.count_runs_weight(n - 1, rho, w) * em.count_v(n, w, k)
             if count != closed:
@@ -588,7 +576,7 @@ def _verify_transversal(args, out):
     emitter = _Emitter(args.format, out,
                        ("n", "k", "spec", "outputs", "min_cover",
                         "total_weight", "gspb", "feasible"))
-    emitter.row((n, k, args.spec, len(universe), report.min_cover,
+    emitter.row((n, k, args.spec, len(outputs), report.min_cover,
                  report.total_weight, gspb, report.feasible))
     return 0 if report.feasible else 1
 
@@ -646,12 +634,12 @@ def _cmd_capacity(args, out):
             capacity_mod.channel_matrix(row[0]))[1],) for row in rows]
     else:
         table = rows
+    if args.plot:  # written before any row, so a refused path prints none
+        with open(args.plot, "w", encoding="utf-8") as fh:
+            fh.write(capacity_mod.render_svg(rows) + "\n")
     emitter = _Emitter(args.format, out, header)
     for values in table:
         emitter.row(values)
-    if args.plot:
-        with open(args.plot, "w", encoding="utf-8") as fh:
-            fh.write(capacity_mod.render_svg(rows) + "\n")
     return 0
 
 

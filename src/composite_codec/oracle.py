@@ -7,10 +7,10 @@ truth on small parameters.
 
 optimal_code_size solves maximum independent set on the conflict graph
 (two sequences conflict when their error balls share an output) with an
-exact branch-and-bound, run on each connected component of the graph
-separately: a spec that never flips some channel splits the space into
-many small components.  Witnesses are deterministic: among all optima the
-lexicographically smallest codeword list is returned.
+exact branch-and-bound, run on each connected component (a spec that
+never flips some channel gives many small ones), each given one clique
+order on the whole graph and renumbered once.  Witnesses are deterministic:
+among all optima the lexicographically smallest codeword list is returned.
 
 exhaustive_decode_check counts every error case but decodes each distinct
 channel output of a codeword once.
@@ -19,6 +19,7 @@ channel output of a codeword once.
 from __future__ import annotations
 
 import sys
+from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ class DecodeCheckReport:
 class TransversalReport:
     min_cover: Fraction
     total_weight: Fraction
+    outputs: KeysView  # the union of all balls
 
     @property
     def feasible(self) -> bool:
@@ -73,13 +75,13 @@ def _induced(adj: list, order: list) -> list:
     return [sum(1 << pos[u] for u in set_bits(adj[v])) for v in order]
 
 
-def _clique_order(n_vertices: int, adj: list) -> list:
-    """Vertices listed greedy-clique by greedy-clique.
+def _clique_order(vertices: int, adj: list) -> list:
+    """The vertices in the bitmask vertices, greedy-clique by greedy-clique.
 
     Suffixes of this order shed whole cliques at a time, which keeps the
     suffix-optimum table of the search below tight.
     """
-    unassigned = (1 << n_vertices) - 1
+    unassigned = vertices
     order = []
     while unassigned:
         v = (unassigned & -unassigned).bit_length() - 1
@@ -97,22 +99,19 @@ def _clique_order(n_vertices: int, adj: list) -> list:
 class _MisSolver:
     """Exact maximum independent set, Ostergard style.
 
-    Vertices are renumbered clique by clique; c[i] holds the exact optimum
-    of the suffix {i, ..., N-1}, built from the back.  Each suffix may
-    improve the running optimum by at most one, so its search only asks
-    whether the vertices after i that i leaves free hold as many as the
-    running optimum; the witness is built from the same yes/no question.
+    One component's vertices are renumbered once, in their clique order on
+    the whole graph; c[i] holds the exact optimum of the suffix {i, ...,
+    N-1}, built from the back.  Each suffix may improve the running optimum
+    by at most one, so its search only asks whether the vertices after i
+    that i leaves free hold as many as the running optimum; the witness is
+    built from the same yes/no question.
     """
 
-    def __init__(self, n_vertices: int, adj: list):
-        self.n = n_vertices
-        order = _clique_order(n_vertices, adj)
-        self.pos = pos = [0] * n_vertices
-        for r, v in enumerate(order):
-            pos[v] = r
+    def __init__(self, order: list, adj: list):
+        self.n = len(order)
         self.order = order
         self.adj = _induced(adj, order)
-        self.c = [0] * (n_vertices + 1)
+        self.c = [0] * (self.n + 1)
         self.best = 0
         self._solve()
 
@@ -152,12 +151,11 @@ class _MisSolver:
 
     def lex_smallest_witness(self) -> list:
         """The lexicographically smallest maximum independent set, built
-        vertex by vertex in original order: a vertex is taken when the
+        vertex by vertex in ascending graph id: a vertex is taken when the
         vertices it leaves free still hold the rest of an optimum."""
         chosen: list = []
         remaining = (1 << self.n) - 1
-        for v in range(self.n):
-            rv = self.pos[v]
+        for v, rv in sorted(zip(self.order, range(self.n))):
             if not (remaining >> rv) & 1:
                 continue
             rest = remaining & ~(1 << rv) & ~self.adj[rv]
@@ -171,9 +169,9 @@ class _MisSolver:
         return chosen
 
 
-def _components(n_vertices: int, adj: list) -> list:
+def _components(adj: list) -> list:
     """Connected components as vertex bitmasks, by breadth-first search."""
-    unseen = (1 << n_vertices) - 1
+    unseen = (1 << len(adj)) - 1
     components = []
     while unseen:
         comp = frontier = unseen & -unseen
@@ -188,7 +186,7 @@ def _components(n_vertices: int, adj: list) -> list:
     return components
 
 
-def _max_independent_set(n_vertices: int, adj: list) -> list:
+def _max_independent_set(adj: list) -> list:
     """The lexicographically smallest maximum independent set, ascending.
 
     Each connected component is solved on its own: a maximum set of a
@@ -201,12 +199,11 @@ def _max_independent_set(n_vertices: int, adj: list) -> list:
     # the searches recurse once per vertex added to a set; the limit is
     # process-wide, so it is put back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 2 * n_vertices + 200))
+    sys.setrecursionlimit(max(limit, 2 * len(adj) + 200))
     try:
-        for comp in _components(n_vertices, adj):
-            vertices = set_bits(comp)
-            solver = _MisSolver(len(vertices), _induced(adj, vertices))
-            chosen += (vertices[i] for i in solver.lex_smallest_witness())
+        for comp in _components(adj):
+            solver = _MisSolver(_clique_order(comp, adj), adj)
+            chosen += solver.lex_smallest_witness()
     finally:
         sys.setrecursionlimit(limit)
     return sorted(chosen)
@@ -250,7 +247,7 @@ def optimal_code_size(n: int, k: int, spec) -> OracleResult:
             f"space size {k + 1}^{n} exceeds the oracle cap {cap}")
     space = list(all_sequences(n, k))
     adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
-    chosen = _max_independent_set(len(space), adj)
+    chosen = _max_independent_set(adj)
     return OracleResult(len(chosen), tuple(space[i] for i in chosen))
 
 
@@ -309,8 +306,8 @@ def check_fractional_transversal(inputs, ball_fn, weight_fn) -> TransversalRepor
     """Verify a fractional transversal in exact rational arithmetic.
 
     For every input x the ball weights must sum to at least 1; the report
-    carries the worst cover sum and the total weight over the union of all
-    balls (the sphere-packing objective the weights certify).
+    carries the worst cover sum, the union of all balls (outputs) and the
+    total weight over it (the sphere-packing objective the weights certify).
     """
     weights: dict = {}
     min_cover = None
@@ -325,4 +322,5 @@ def check_fractional_transversal(inputs, ball_fn, weight_fn) -> TransversalRepor
             min_cover = cover
     if min_cover is None:
         raise ValueError("no inputs given")
-    return TransversalReport(min_cover, sum(weights.values(), Fraction(0)))
+    return TransversalReport(min_cover, sum(weights.values(), Fraction(0)),
+                             weights.keys())

@@ -490,6 +490,23 @@ def test_verify_transversal():
             assert row["total_weight"] == row["gspb"], (k, n)
 
 
+@pytest.mark.parametrize("n, k, spec", [(3, 2, "(1,1)"), (2, 3, "t:2"),
+                                        (4, 2, "(1,0)"), (3, 2, "d:(1,0)"),
+                                        (3, 3, "d:(1,0,0)")])
+def test_transversal_outputs_are_the_union_of_the_balls(n, k, spec):
+    parsed = error_model.parse_spec(spec)
+    union = set()
+    for s in core.all_sequences(n, k):
+        union |= error_model.enumerate_ball(s, k, parsed)
+    report = oracle.check_fractional_transversal(
+        core.all_sequences(n, k),
+        lambda s: error_model.enumerate_ball(s, k, parsed), lambda y: 1)
+    assert report.outputs == union
+    code, out, _ = run_cli("verify", "--transversal", "--n", str(n), "--k",
+                           str(k), "--spec", spec, "--format", "json")
+    assert code == 0 and json.loads(out)["outputs"] == len(union)
+
+
 @pytest.mark.parametrize("n, spec, sequences",
                          [(3, "(1,1,0)", 64), (4, "t:2", 256)])
 def test_verify_transversal_enumerates_each_ball_twice(monkeypatch, n, spec,
@@ -722,6 +739,12 @@ def test_capacity_oracle_refuses_an_uncertified_value(monkeypatch):
     _one_error_line(args)
     assert run_cli(*args)[2].startswith(
         "error: Blahut-Arimoto did not certify the capacity within max_iter=1")
+
+
+def test_capacity_plot_to_an_unopenable_path_prints_no_row(tmp_path):
+    # the SVG is written before the first row is printed
+    _one_error_line(("capacity", "--sweep", "0.1,0.2", "--plot",
+                     str(tmp_path / "missing" / "p.svg")))
 
 
 def test_capacity_plot(tmp_path):
@@ -1255,6 +1278,8 @@ def _reach_invocations(tmp_path):
         ("ball", "inbound", "--spec", "t:1", "01"),
         ("ball", "received", "--spec", "(1,0)", "01"),
         ("bounds", "--n", "8", "--spec", "t:2"),
+        # json is where a non-integer rational goes through format_rational
+        ("bounds", "--n", "8", "--spec", "t:2", "--format", "json"),
         ("bounds", "--table", "table4", "--n-max", "4"),
         ("search-optimal", "--n", "2", "--spec", "d:1", "--save", book),
         ("search-optimal", "--binary-length", "3"),

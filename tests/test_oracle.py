@@ -18,6 +18,7 @@ from composite_codec.error_model import (
     raised_caps,
 )
 from composite_codec.oracle import (
+    _clique_order,
     _max_independent_set,
     _MisSolver,
     check_fractional_transversal,
@@ -55,7 +56,7 @@ def _binary_single_error_by_distance(length):
             if sum(a != b for a, b in zip(space[i], space[j])) <= 2:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return tuple(space[i] for i in _max_independent_set(len(space), adj))
+    return tuple(space[i] for i in _max_independent_set(adj))
 
 
 @pytest.mark.parametrize("length", range(8))
@@ -244,6 +245,7 @@ def test_check_fractional_transversal_feasible():
     assert report.feasible
     assert report.min_cover == Fraction(1)
     assert report.total_weight == Fraction(3, 2)
+    assert report.outputs == {"a", "b", "c"}
 
 
 def test_check_fractional_transversal_infeasible():
@@ -371,7 +373,7 @@ def test_component_split_matches_brute_force(seed):
     rng = random.Random(seed)
     for _ in range(25):
         n_vertices, adj = _random_graph(rng)
-        assert _max_independent_set(n_vertices, adj) == _brute_force_mis(n_vertices, adj)
+        assert _max_independent_set(adj) == _brute_force_mis(n_vertices, adj)
 
 
 # digest of the whole-graph search's suffix-optimum table c[], as the plain
@@ -399,6 +401,11 @@ C_TABLE_DIGESTS = {
 }
 
 
+def _whole_graph_order(adj):
+    """One clique order over every vertex, components and all."""
+    return _clique_order((1 << len(adj)) - 1, adj)
+
+
 def _c_digest(c):
     return hashlib.sha256(",".join(map(str, c)).encode()).hexdigest()[:16]
 
@@ -408,11 +415,11 @@ def test_component_split_matches_the_whole_graph_search(n, k, text, size, digest
     spec = parse_spec(text)
     space = list(all_sequences(n, k))
     adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
-    solver = _MisSolver(len(space), adj)
+    solver = _MisSolver(_whole_graph_order(adj), adj)
     whole = solver.lex_smallest_witness()
     assert len(whole) == size
     assert _c_digest(solver.c) == C_TABLE_DIGESTS[n, k, text]
-    assert _max_independent_set(len(space), adj) == whole
+    assert _max_independent_set(adj) == whole
 
 
 class _PlainSolver(_MisSolver):
@@ -479,8 +486,9 @@ def test_search_keeps_the_plain_loop_table_and_witness(seed):
         spec = parse_spec(text)
         graphs.append((len(space),
                        conflict_graph(enumerate_ball(s, k, spec) for s in space)))
-    for n_vertices, adj in graphs:
-        fast, plain = _MisSolver(n_vertices, adj), _PlainSolver(n_vertices, adj)
+    for _, adj in graphs:
+        order = _whole_graph_order(adj)
+        fast, plain = _MisSolver(order, adj), _PlainSolver(order, adj)
         assert fast.c == plain.c
         assert fast.lex_smallest_witness() == plain.lex_smallest_witness()
 
