@@ -26,9 +26,9 @@ from composite_codec.error_model import (
     Total,
     _check_sub_spec,
     count_v,
-    enumerate_in_ball,
     runs,
     shortened_rows,
+    space_balls,
     sub_ball_pairs,
 )
 from composite_codec.substitution import _check_fiber_k
@@ -224,7 +224,10 @@ def gspb_weight_rule(n: int, k: int, spec):
     function, so the total weight over all outputs is a valid upper bound
     on code size; for the closed-form specs it reproduces gspb_upper
     exactly.  Outputs are valid sequences for substitution specs and row
-    tuples, row 0 one bit short, for the first-row deletion spec.
+    tuples, row 0 one bit short, for the first-row deletion spec.  The
+    other substitution specs weigh an output one over the smallest ball
+    that holds it, found when the rule is asked for, in one walk over the
+    whole space (so the enumeration cap applies here).
     """
     _check_resolution(k)
     _check_length(n)
@@ -253,17 +256,19 @@ def gspb_weight_rule(n: int, k: int, spec):
             return Fraction(1, n + sum(1 for v in y if 0 < v < k))
         return weight
     if isinstance(spec, (PerChannel, Total)):
-        # each ball is enumerated once: as the centres around an output
-        # and, by its length, as a centre's ball size
-        balls: dict = {}
-
-        def ball(x):
-            if x not in balls:
-                balls[x] = enumerate_in_ball(x, k, spec)
-            return balls[x]
+        # one over the smallest ball among the centres around an output,
+        # found in one pass of the walk: each ball lowers the running
+        # minimum of its members, so one size is kept per output
+        smallest: dict = {}
+        for _, ball in space_balls(n, k, spec):
+            size = len(ball)
+            for y in ball:
+                if smallest.get(y, size) >= size:
+                    smallest[y] = size
+        inverse = {size: Fraction(1, size) for size in set(smallest.values())}
 
         def weight(y):
-            return Fraction(1, min(len(ball(x)) for x in ball(tuple(y))))
+            return inverse[smallest[tuple(y)]]
         return weight
     raise DomainError(f"no weight rule for spec {spec!r}")
 

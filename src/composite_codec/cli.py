@@ -550,8 +550,7 @@ def _verify_transversal(args, out):
     n, k = args.n, args.k
     weight = bounds_mod.gspb_weight_rule(n, k, spec)
     report = oracle_mod.check_fractional_transversal(
-        all_sequences(n, k), partial(em.enumerate_ball, k=k, spec=spec),
-        weight)
+        em.space_balls(n, k, spec), itemgetter(1), weight)
     outputs = report.outputs
     if em.shortened_rows(spec, k) == (0,):
         expected = em.vertex_set_size(n, k)

@@ -4,7 +4,10 @@ Substitution specs come in two flavours: a per-channel budget vector
 (e_0, ..., e_{k-1}) or a total budget e spread arbitrarily over the k
 channels.  The ball of a sequence s collects every valid reconstruction
 reachable within the budget (invalid ones, i.e. containing '?', are not
-sequences and are excluded by definition).
+sequences and are excluded by definition).  walk_sub_balls enumerates the
+balls of many centres in one depth-first walk over their letters, sharing
+the budget layers of each centre prefix; one centre's ball is its
+one-path case, and space_balls walks all of Sigma_{k+1}^n.
 
 Deletion balls assume a deletion always occurs: the affected row comes
 back one bit short and the others intact, so ball elements are row
@@ -28,6 +31,7 @@ from composite_codec.core import (
     DomainError,
     _check_length,
     _check_q2_letters,
+    all_sequences,
     decompose_sequence,
 )
 
@@ -262,35 +266,67 @@ def sub_ball_pairs(n: int, k: int, spec) -> int:
     return _move_count(k, spec, [(range(k + 1), n, k + 1)])
 
 
-def enumerate_sub_ball(s, k: int, spec) -> set:
-    """The ball as an explicit set, built position by position.
+def walk_sub_balls(columns, k: int, spec):
+    """Every centre whose letter i lies in columns[i], with its ball as a
+    list, each member once: (centre, members) pairs, lazily, in the
+    lexicographic order of the centres when each column is ascending.
 
-    Every sequence whose per-channel (or total) substitution cost from s
-    fits the budget, each produced once; column-inconsistent received rows
-    never arise.  Equals the valid reconstructions of
-    enumerate_received_rows.  Always contains s.  Each layer maps a
-    remaining budget to the prefixes that leave it.
+    One depth-first walk.  A layer maps each remaining budget to the member
+    prefixes that leave it; extending a centre prefix by one letter extends
+    its layer by one position, so the layer of each centre prefix is built
+    once and shared by every centre below it, and the last position adds
+    its letter straight into the members.  Every member is a sequence whose
+    per-channel (or total) substitution cost from its centre fits the
+    budget; column-inconsistent received rows never arise.
     """
     _check_sub_spec(k, spec)
-    _check_enumeration_cap(len(s), spec)
-    _check_q2_letters(s, k)
+    _check_enumeration_cap(len(columns), spec)
+    _check_q2_letters([sigma for column in columns for sigma in column], k)
     budget, moves = _letter_moves(k, spec)
-    layer = {budget: [()]}
-    for sigma in s:
-        nxt: dict = {}
-        for left, prefixes in layer.items():
-            for tau, rest in moves[sigma, left]:
-                step = [p + (tau,) for p in prefixes]
-                if rest in nxt:
-                    nxt[rest] += step
-                else:
-                    nxt[rest] = step
-        layer = nxt
-    return {y for ys in layer.values() for y in ys}
+    tails = [(tau,) for tau in range(k + 1)]
+    n = len(columns)
+    centre = [0] * n
+
+    def walk(depth, layer):
+        for sigma in columns[depth]:
+            centre[depth] = sigma
+            if depth == n - 1:
+                members: list = []
+                for left, prefixes in layer.items():
+                    for tau, _ in moves[sigma, left]:
+                        tail = tails[tau]
+                        members += [p + tail for p in prefixes]
+                yield tuple(centre), members
+                continue
+            nxt: dict = {}
+            for left, prefixes in layer.items():
+                for tau, rest in moves[sigma, left]:
+                    tail = tails[tau]
+                    step = [p + tail for p in prefixes]
+                    if rest in nxt:
+                        nxt[rest] += step
+                    else:
+                        nxt[rest] = step
+            yield from walk(depth + 1, nxt)
+
+    if n:
+        yield from walk(0, {budget: [()]})
+    else:
+        yield (), [()]
+
+
+def enumerate_sub_ball(s, k: int, spec) -> set:
+    """The ball as an explicit set: the one-path case of walk_sub_balls.
+
+    Equals the valid reconstructions of enumerate_received_rows.  Always
+    contains s.
+    """
+    (_, members), = walk_sub_balls([(sigma,) for sigma in s], k, spec)
+    return set(members)
 
 
 def enumerate_in_ball(y, k: int, spec) -> set:
-    """Centres x whose ball contains y (the inbound ball used by the GSPB).
+    """Centres x whose ball contains y (the inbound ball of y).
 
     Substitution balls are symmetric, so this is the ball of y itself.
     """
@@ -399,6 +435,18 @@ def enumerate_ball(s, k: int, spec) -> set:
     if shortened_rows(spec, k) is None:
         return enumerate_sub_ball(s, k, spec)
     return enumerate_del_ball(s, k, spec)
+
+
+def space_balls(n: int, k: int, spec):
+    """(centre, ball) for every centre of Sigma_{k+1}^n, lazily and in
+    lexicographic order: one walk_sub_balls pass for a substitution spec,
+    enumerate_del_ball per centre for a deletion spec."""
+    if shortened_rows(spec, k) is None:
+        _check_length(n)
+        _check_sub_spec(k, spec)
+        _check_enumeration_cap(n, spec)  # before n columns are built
+        return walk_sub_balls([range(k + 1)] * n, k, spec)
+    return ((s, enumerate_del_ball(s, k, spec)) for s in all_sequences(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ optimal_code_size solves maximum independent set on the conflict graph
 (two sequences conflict when their error balls share an output) with an
 exact branch-and-bound, run on each connected component (a spec that
 never flips some channel gives many small ones), each given one clique
-order on the whole graph and renumbered once.  Witnesses are deterministic:
-among all optima the lexicographically smallest codeword list is returned.
+order on the whole graph and renumbered once, a row at a time as a
+string of bits.  The balls come from one error_model.space_balls walk
+over the whole space.  Witnesses are deterministic: among all optima the
+lexicographically smallest codeword list is returned.
 
 exhaustive_decode_check counts every error case but decodes each distinct
-channel output of a codeword once.
+channel output of a codeword once.  check_fractional_transversal adds
+each ball's weights as integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ import sys
 from collections.abc import KeysView
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter, mul
 
 from composite_codec.core import _check_length, _check_resolution, all_sequences
-from composite_codec.error_model import PerChannel, SizeLimitError, _cap, enumerate_ball
+from composite_codec.error_model import PerChannel, SizeLimitError, _cap, space_balls
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,17 @@ def set_bits(mask: int) -> list:
 def _induced(adj: list, order: list) -> list:
     """Adjacency masks of the subgraph on the vertices listed in order,
     vertex order[r] renumbered r; order must hold every neighbour of the
-    vertices it lists."""
-    pos = {v: r for r, v in enumerate(order)}
-    return [sum(1 << pos[u] for u in set_bits(adj[v])) for v in order]
+    vertices it lists.
+
+    Each row is renumbered as a string: its bits, least significant first
+    (a bit above the graph pads the string to every vertex), are picked in
+    reversed order by one itemgetter and read back as a binary number.
+    """
+    if not order:
+        return []
+    top = 1 << len(adj)
+    pick = itemgetter(*reversed(order))
+    return [int("".join(pick(bin(adj[v] | top)[::-1])), 2) for v in order]
 
 
 def _clique_order(vertices: int, adj: list) -> list:
@@ -246,7 +259,7 @@ def optimal_code_size(n: int, k: int, spec) -> OracleResult:
         raise SizeLimitError(
             f"space size {k + 1}^{n} exceeds the oracle cap {cap}")
     space = list(all_sequences(n, k))
-    adj = conflict_graph(enumerate_ball(s, k, spec) for s in space)
+    adj = conflict_graph(ball for _, ball in space_balls(n, k, spec))
     chosen = _max_independent_set(adj)
     return OracleResult(len(chosen), tuple(space[i] for i in chosen))
 
@@ -302,25 +315,40 @@ def exhaustive_decode_check(codewords, outputs_fn, decode_fn) -> DecodeCheckRepo
     return DecodeCheckReport(cases, tuple(failures))
 
 
+def _common_sum(numerators, denominators: list) -> Fraction:
+    """The sum of the fractions n/d, added as integers over one common
+    denominator, the lcm of the denominators."""
+    distinct = set(denominators)
+    common = lcm(*distinct)
+    scale = {d: common // d for d in distinct}
+    return Fraction(sum(map(mul, numerators, map(scale.__getitem__, denominators))),
+                    common)
+
+
 def check_fractional_transversal(inputs, ball_fn, weight_fn) -> TransversalReport:
     """Verify a fractional transversal in exact rational arithmetic.
 
     For every input x the ball weights must sum to at least 1; the report
     carries the worst cover sum, the union of all balls (outputs) and the
     total weight over it (the sphere-packing objective the weights certify).
+    weight_fn runs once per output, whose weight is kept as a numerator and
+    a denominator; each cover, and the total, is one integer sum over a
+    common denominator (_common_sum), the same rational as the Fraction
+    additions member by member.
     """
-    weights: dict = {}
+    num: dict = {}
+    den: dict = {}
     min_cover = None
     for x in inputs:
-        cover = Fraction(0)
-        for y in ball_fn(x):
-            w = weights.get(y)
-            if w is None:
-                w = weights[y] = Fraction(weight_fn(y))
-            cover += w
+        ball = list(ball_fn(x))
+        for y in set(ball).difference(num):
+            w = Fraction(weight_fn(y))
+            num[y], den[y] = w.numerator, w.denominator
+        cover = _common_sum(map(num.__getitem__, ball),
+                            list(map(den.__getitem__, ball)))
         if min_cover is None or cover < min_cover:
             min_cover = cover
     if min_cover is None:
         raise ValueError("no inputs given")
-    return TransversalReport(min_cover, sum(weights.values(), Fraction(0)),
-                             weights.keys())
+    return TransversalReport(min_cover, _common_sum(num.values(), list(den.values())),
+                             num.keys())

@@ -336,6 +336,24 @@ def test_weight_rule_total_one_feasible():
         assert report.feasible
 
 
+@pytest.mark.parametrize("k, texts, max_n", [
+    (1, ("(1)", "t:2"), 5), (2, ("(1,1)", "(2,1)", "t:2", "t:3"), 4),
+    (3, ("(1,1,0)", "(0,1,1)", "t:2"), 3), (4, ("(0,1,1,0)", "t:2"), 2),
+])
+def test_generic_weight_rule_is_one_over_the_smallest_inbound_ball(k, texts, max_n):
+    # the definition, centre by centre: the centres whose balls hold y
+    for text in texts:
+        spec = parse_spec(text)
+        for n in range(max_n + 1):
+            space = list(all_sequences(n, k))
+            balls = {x: enumerate_sub_ball(x, k, spec) for x in space}
+            weight = gspb_weight_rule(n, k, spec)
+            for y in space:
+                inbound = [x for x in space if y in balls[x]]
+                assert weight(y) == Fraction(1, min(len(balls[x]) for x in inbound))
+                assert weight(list(y)) == weight(y)
+
+
 def test_weight_rule_rejects_either_channel_deletion():
     with pytest.raises(DomainError):
         gspb_weight_rule(4, 2, parse_spec("d:1"))

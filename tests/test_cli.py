@@ -507,23 +507,25 @@ def test_transversal_outputs_are_the_union_of_the_balls(n, k, spec):
     assert code == 0 and json.loads(out)["outputs"] == len(union)
 
 
-@pytest.mark.parametrize("n, spec, sequences",
-                         [(3, "(1,1,0)", 64), (4, "t:2", 256)])
-def test_verify_transversal_enumerates_each_ball_twice(monkeypatch, n, spec,
-                                                       sequences):
-    # once as an input's ball, once inside the weight rule
-    real = error_model.enumerate_sub_ball
-    calls = []
+@pytest.mark.parametrize("n, spec", [(3, "(1,1,0)"), (4, "t:2")])
+def test_verify_transversal_walks_the_space_once_per_pass(monkeypatch, n, spec):
+    # one walk weighs the outputs, one sums the covers; no ball is
+    # enumerated centre by centre
+    real = error_model.walk_sub_balls
+    walks, centres = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        walks.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(error_model, "enumerate_sub_ball", counted)
+    monkeypatch.setattr(error_model, "walk_sub_balls", counted)
+    monkeypatch.setattr(error_model, "enumerate_sub_ball",
+                        lambda *args, **kwargs: centres.append(args[0]))
     code, out, _ = run_cli("verify", "--transversal", "--n", str(n), "--k", "3",
                            "--spec", spec, "--format", "csv")
     assert code == 0 and out.endswith(",true\n")
-    assert len(calls) == 2 * sequences
+    assert [len(columns) for columns in walks] == [n, n]
+    assert centres == []
 
 
 def test_verify_transversal_checks_runs_weight_counts(monkeypatch):
@@ -1216,6 +1218,13 @@ def test_verify_transversal_at_lengths_below_one_ends_cleanly():
         _one_error_line(("verify", "--transversal", "--n", str(n), "--spec", spec))
     code, out, err = run_cli("verify", "--transversal", "--n", "0", "--spec", "(1,0)")
     assert (code, err) == (0, "")
+
+
+def test_verify_transversal_refuses_a_long_space_before_building_it():
+    # the cap is checked before the space's n columns exist
+    for spec, cap in (("(1,1)", 10), ("(1,0)", 10), ("t:1", 8), ("(2,1)", 8)):
+        assert run_cli("verify", "--transversal", "--n", "100000000", "--spec",
+                       spec) == (1, "", f"error: n=100000000 exceeds enumeration cap {cap}\n")
 
 
 def test_bounds_check_the_first_channel_budget_length():

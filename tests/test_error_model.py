@@ -17,6 +17,7 @@ from composite_codec.error_model import (
     PerChannel,
     SizeLimitError,
     Total,
+    _letter_moves,
     ball_size,
     count_runs_weight,
     count_v,
@@ -31,9 +32,11 @@ from composite_codec.error_model import (
     raised_caps,
     runs,
     shortened_rows,
+    space_balls,
     sub_ball_pairs,
     sub_ball_size,
     vertex_set_size,
+    walk_sub_balls,
 )
 
 
@@ -126,6 +129,82 @@ def test_enumerate_in_ball_is_adjoint():
         inbound = enumerate_in_ball(y, 2, spec)
         expected = {x for x in space if y in enumerate_sub_ball(x, 2, spec)}
         assert inbound == expected
+
+
+def _per_centre_ball(s, k, spec):
+    """The ball of one centre by its own budget-layer pass, no layer shared
+    with another centre: a list, to show that no member comes twice."""
+    budget, moves = _letter_moves(k, spec)
+    layer = {budget: [()]}
+    for sigma in s:
+        nxt: dict = {}
+        for left, prefixes in layer.items():
+            for tau, rest in moves[sigma, left]:
+                nxt.setdefault(rest, []).extend(p + (tau,) for p in prefixes)
+        layer = nxt
+    return [y for ys in layer.values() for y in ys]
+
+
+# (k, largest n, specs): per-channel budgets, zero budgets among them, and
+# total budgets 0-3 at every k
+WALK_GRID = (
+    (1, 5, ("(0)", "(1)", "(2)", "(3)", "t:0", "t:1", "t:2", "t:3")),
+    (2, 5, ("(0,0)", "(1,0)", "(0,1)", "(1,1)", "(2,0)", "(0,2)", "(2,1)",
+            "(2,2)", "t:0", "t:1", "t:2", "t:3")),
+    (3, 5, ("(0,0,0)", "(1,0,0)", "(0,0,1)", "(0,1,0)", "(1,0,1)",
+            "(1,1,1)", "(2,0,1)", "t:0", "t:1", "t:2", "t:3")),
+    (4, 5, ("(0,0,0,0)", "(1,0,0,0)", "(0,0,0,1)", "(0,1,1,0)",
+            "(1,0,2,0)", "t:0", "t:1", "t:2", "t:3")),
+)
+
+
+@pytest.mark.parametrize("k, max_n, specs", WALK_GRID)
+def test_walk_matches_per_centre_enumeration(k, max_n, specs):
+    for text in specs:
+        spec = parse_spec(text)
+        for n in range(max_n + 1):
+            walked = list(walk_sub_balls([range(k + 1)] * n, k, spec))
+            assert [s for s, _ in walked] == list(all_sequences(n, k))
+            for s, members in walked:
+                expected = _per_centre_ball(s, k, spec)
+                assert len(members) == len(set(members)) == len(expected), (s, text)
+                assert set(members) == set(expected), (s, text)
+            assert list(space_balls(n, k, spec)) == walked
+
+
+def test_walk_over_chosen_letters_keeps_lexicographic_order():
+    rng = random.Random(5)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        n = rng.randint(0, 5)
+        spec = parse_spec(rng.choice(("t:1", "t:2"))) if rng.random() < 0.5 else \
+            parse_spec("(" + ",".join(str(rng.randint(0, 2)) for _ in range(k)) + ")")
+        columns = [sorted(rng.sample(range(k + 1), rng.randint(1, k + 1)))
+                   for _ in range(n)]
+        walked = list(walk_sub_balls(columns, k, spec))
+        assert [s for s, _ in walked] == list(product(*columns))
+        for s, members in walked:
+            assert sorted(members) == sorted(_per_centre_ball(s, k, spec))
+
+
+@pytest.mark.parametrize("k, text", [(1, "d:(1)"), (2, "d:(1,0)"), (2, "d:1"),
+                                     (3, "d:1")])
+def test_space_balls_of_a_deletion_spec_are_the_per_centre_balls(k, text):
+    spec = parse_spec(text)
+    for n in range(1, 4):
+        assert list(space_balls(n, k, spec)) == [
+            (s, enumerate_del_ball(s, k, spec)) for s in all_sequences(n, k)]
+
+
+def test_walk_checks_come_before_any_column_is_built():
+    # the cap refuses a long space at once; the count and letter rules
+    # keep their texts
+    with pytest.raises(SizeLimitError, match="^n=100000000 exceeds enumeration cap 10$"):
+        space_balls(10 ** 8, 2, parse_spec("(1,1)"))
+    with pytest.raises(DomainError, match="^budget vector \\(1,1\\) has 2 entries, expected k=3$"):
+        space_balls(10 ** 8, 3, parse_spec("(1,1)"))
+    with pytest.raises(DomainError, match="^letter 3 outside Sigma_3$"):
+        next(walk_sub_balls([(0,), (1, 3)], 2, parse_spec("t:1")))
 
 
 def _folded_ball(s, k, spec):

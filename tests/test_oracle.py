@@ -19,6 +19,8 @@ from composite_codec.error_model import (
 )
 from composite_codec.oracle import (
     _clique_order,
+    _components,
+    _induced,
     _max_independent_set,
     _MisSolver,
     check_fractional_transversal,
@@ -26,6 +28,7 @@ from composite_codec.oracle import (
     exhaustive_decode_check,
     optimal_binary_single_error,
     optimal_code_size,
+    set_bits,
 )
 
 
@@ -256,6 +259,37 @@ def test_check_fractional_transversal_infeasible():
     assert report.min_cover == Fraction(1, 3)
 
 
+def _plain_transversal(inputs, ball_fn, weight_fn):
+    """Worst cover and total weight, added one Fraction at a time."""
+    weights: dict = {}
+    covers = []
+    for x in inputs:
+        cover = Fraction(0)
+        for y in ball_fn(x):
+            if y not in weights:
+                weights[y] = Fraction(weight_fn(y))
+            cover += weights[y]
+        covers.append(cover)
+    return min(covers), sum(weights.values(), Fraction(0)), set(weights)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_common_denominator_sums_match_fraction_sums(seed):
+    rng = random.Random(seed)
+    outputs = range(rng.randint(1, 40))
+    weights = {y: Fraction(rng.randint(0, 30), rng.randint(1, 60))
+               for y in outputs}
+    if seed % 2:
+        weights = {y: w.numerator for y, w in weights.items()}  # int weights
+    balls = [rng.sample(outputs, rng.randint(1, len(outputs)))
+             for _ in range(rng.randint(1, 12))]
+    ball_fn = balls.__getitem__
+    report = check_fractional_transversal(range(len(balls)), ball_fn, weights.get)
+    plain = _plain_transversal(range(len(balls)), ball_fn, weights.get)
+    assert (report.min_cover, report.total_weight, set(report.outputs)) == plain
+    assert all(type(v) is Fraction for v in (report.min_cover, report.total_weight))
+
+
 def test_size_caps_guard_exponential_searches():
     from composite_codec.error_model import SizeLimitError
 
@@ -420,6 +454,39 @@ def test_component_split_matches_the_whole_graph_search(n, k, text, size, digest
     assert len(whole) == size
     assert _c_digest(solver.c) == C_TABLE_DIGESTS[n, k, text]
     assert _max_independent_set(adj) == whole
+
+
+def _plain_induced(adj, order):
+    """_induced with a per-edge loop: each neighbour's new number, looked up."""
+    pos = {v: r for r, v in enumerate(order)}
+    return [sum(1 << pos[u] for u in set_bits(adj[v])) for v in order]
+
+
+def _orders(adj):
+    """Orders _induced accepts: the whole graph, each component in clique
+    order and ascending, and every isolated vertex alone."""
+    orders = [_whole_graph_order(adj), []]
+    for comp in _components(adj):
+        orders += [_clique_order(comp, adj), set_bits(comp)]
+    orders += [[v] for v, row in enumerate(adj) if not row]
+    return orders
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_induced_matches_the_plain_loop_on_random_graphs(seed):
+    rng = random.Random(seed)
+    graphs = [_random_graph(rng) for _ in range(40)] + [(1, [0]), (0, [])]
+    for _, adj in graphs:
+        for order in _orders(adj):
+            assert _induced(adj, order) == _plain_induced(adj, order)
+
+
+@pytest.mark.parametrize("n, k, text", [g[:3] for g in WITNESS_GOLDENS])
+def test_induced_matches_the_plain_loop_on_the_search_graphs(n, k, text):
+    spec = parse_spec(text)
+    adj = conflict_graph(enumerate_ball(s, k, spec) for s in all_sequences(n, k))
+    for order in _orders(adj):
+        assert _induced(adj, order) == _plain_induced(adj, order)
 
 
 class _PlainSolver(_MisSolver):
